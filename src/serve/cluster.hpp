@@ -69,7 +69,8 @@ enum class RoutePolicyKind {
     std::string_view name);
 
 /// What the router knows about one node at routing time. `queue_depth` is
-/// the node's pending-queue snapshot (admitted, not yet dispatched);
+/// the node's pending-queue snapshot (admitted, not yet dispatched; read
+/// lock-free, so it may lag a concurrent submit or dispatch);
 /// `lut_resident` is whether the node's residency cache currently holds the
 /// request's dataset LUT/CAM image (always true for Dataset::kDefault —
 /// every node installs its configured format at construction).
@@ -139,6 +140,7 @@ struct ClusterStats {
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t batches = 0;
+  std::uint64_t batcher_wakeups = 0;
 
   // Fleet latency view (merged as documented above).
   double queue_wait_mean_s = 0.0;
@@ -244,6 +246,7 @@ class Cluster {
   std::vector<Node> nodes_;
   std::unique_ptr<RoutingPolicy> policy_;
   mutable std::mutex route_mu_;
+  std::vector<NodeSnapshot> snapshots_;  ///< route_and_bill's reused buffer
   std::vector<std::uint64_t> routed_;
   double transport_energy_uj_ = 0.0;  ///< fleet link energy (router-billed)
 };

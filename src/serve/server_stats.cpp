@@ -163,6 +163,7 @@ ServerStats StatsAccumulator::snapshot() const {
   s.completed = completed_;
   s.failed = failed_;
   s.batches = batches_;
+  s.batcher_wakeups = batcher_wakeups_;
   const std::uint64_t done = completed_ + failed_;
   s.queue_wait_mean_s =
       done == 0 ? 0.0 : queue_wait_sum_s_ / static_cast<double>(done);

@@ -23,6 +23,11 @@ struct ServerStats {
   std::uint64_t completed = 0;   ///< future resolved with a value
   std::uint64_t failed = 0;      ///< future resolved with a compute exception
   std::uint64_t batches = 0;     ///< batches dispatched to the scheduler
+  /// Times the batcher thread woke from its sleep: notifies, timeouts and
+  /// spurious wakes alike. A submit wakes it only when the push can change
+  /// its next decision, so this grows with batches and deadlines, not with
+  /// requests.
+  std::uint64_t batcher_wakeups = 0;
 
   // Latency distributions over completed + failed requests, seconds. Means
   // are exact running sums. The p99s are nearest-rank percentiles of the
@@ -144,6 +149,7 @@ class StatsAccumulator {
   void on_admitted() { ++admitted_; }
   void on_rejected() { ++rejected_; }
   void on_shed() { ++shed_; }
+  void on_batcher_wakeup() { ++batcher_wakeups_; }
   /// Record one dispatched batch: `occupancy` request slots from queue
   /// `bucket`, carrying `effective_tokens` real tokens inside a
   /// `padded_tokens` rectangle out of `capacity_tokens` of bucket capacity.
@@ -194,6 +200,7 @@ class StatsAccumulator {
 
   std::uint64_t submitted_ = 0, admitted_ = 0, rejected_ = 0, shed_ = 0;
   std::uint64_t completed_ = 0, failed_ = 0, batches_ = 0;
+  std::uint64_t batcher_wakeups_ = 0;
   std::uint64_t occupancy_sum_ = 0;
   std::size_t occupancy_max_ = 0;
   double queue_wait_sum_s_ = 0.0;

@@ -31,12 +31,11 @@ StarServer::StarServer(const core::BatchEncoderSim& model,
 
 StarServer::~StarServer() { shutdown(); }
 
-std::size_t StarServer::pending_locked() const {
-  std::size_t total = 0;
-  for (const auto& q : queues_) {
-    total += q.size();
-  }
-  return total;
+StarServer::Clock::time_point StarServer::head_deadline_locked(
+    std::size_t q) const {
+  return queues_[q].front().enqueued +
+         opts_.batcher.tick * opts_.batcher.bucketing.max_wait_for(
+                                  q, opts_.batcher.max_wait_ticks);
 }
 
 std::size_t StarServer::oldest_head_locked() const {
@@ -73,12 +72,14 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
   {
     std::unique_lock<std::mutex> lk(mu_);
     stats_.on_submitted();
-    if (!stopping_ && pending_locked() >= opts_.max_queue) {
+    if (!stopping_ && pending() >= opts_.max_queue) {
       switch (opts_.admission) {
         case AdmissionPolicy::kBlock:
+          ++blocked_submitters_;
           space_cv_.wait(lk, [&] {
-            return stopping_ || pending_locked() < opts_.max_queue;
+            return stopping_ || pending() < opts_.max_queue;
           });
+          --blocked_submitters_;
           // Re-stamp: queue_wait measures admission -> dispatch (not the
           // submitter's blocked time) and the batcher's age-out window
           // starts at admission, not at the original submit call.
@@ -97,6 +98,7 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
           const std::size_t victim_q = oldest_head_locked();
           victim = std::move(queues_[victim_q].front());
           queues_[victim_q].pop_front();
+          pending_.fetch_sub(1, std::memory_order_relaxed);
           stats_.on_shed();
           have_victim = true;
           break;
@@ -161,8 +163,27 @@ std::future<Response> StarServer::submit_impl(std::int64_t seq_len,
       }
     };
     stats_.on_admitted();
-    queues_[opts_.batcher.bucketing.bucket_of(seq_len)].push_back(std::move(p));
-    batcher_cv_.notify_one();
+    const std::size_t q = opts_.batcher.bucketing.bucket_of(seq_len);
+    queues_[q].push_back(std::move(p));
+    const std::size_t depth = pending_.fetch_add(1, std::memory_order_relaxed) + 1;
+    // Wake the batcher only when this push can change its next decision:
+    // the queue reaches its size trigger, admission fills under kBlock, or
+    // a new head ages out before the deadline the batcher sleeps toward.
+    // Any other push is picked up by the batcher's next scan.
+    bool wake = queues_[q].size() == opts_.batcher.bucketing.max_batch_for(
+                                         q, opts_.batcher.max_batch) ||
+                (opts_.admission == AdmissionPolicy::kBlock &&
+                 depth == opts_.max_queue);
+    if (queues_[q].size() == 1) {
+      const Clock::time_point deadline = head_deadline_locked(q);
+      if (deadline < batcher_deadline_) {
+        batcher_deadline_ = deadline;
+        wake = true;
+      }
+    }
+    if (wake) {
+      batcher_cv_.notify_one();
+    }
   }
   if (have_victim) {
     victim.fail(std::make_exception_ptr(ShedError(
@@ -226,13 +247,6 @@ void StarServer::batcher_loop() {
   std::vector<Pending> formed;
   std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    batcher_cv_.wait(lk, [&] { return stopping_ || pending_locked() > 0; });
-    if (pending_locked() == 0) {
-      if (stopping_) {
-        return;
-      }
-      continue;
-    }
     // Coalesce per queue: a queue is dispatchable once it holds its
     // effective max_batch, once its head ages out past its effective
     // max_wait window, or on shutdown. Under kBlock a full ADMISSION
@@ -243,69 +257,47 @@ void StarServer::batcher_loop() {
     // honoured strictly. Deadlines are re-derived from the CURRENT heads
     // each pass: kShedOldest may evict a head mid-wait, and the
     // replacement is owed its own full age-out window.
-    const auto queue_ready = [&](std::size_t q) {
-      return !queues_[q].empty() &&
-             (stopping_ ||
-              queues_[q].size() >=
-                  bucketing.max_batch_for(q, opts_.batcher.max_batch) ||
-              (opts_.admission == AdmissionPolicy::kBlock &&
-               pending_locked() >= opts_.max_queue));
-    };
-    const auto queue_deadline = [&](std::size_t q) {
-      return queues_[q].front().enqueued +
-             opts_.batcher.tick *
-                 bucketing.max_wait_for(q, opts_.batcher.max_wait_ticks);
-    };
-    const auto any_ready = [&] {
-      if (stopping_) {
-        return true;
-      }
-      for (std::size_t q = 0; q < queues_.size(); ++q) {
-        if (queue_ready(q)) {
-          return true;
-        }
-      }
-      return false;
-    };
-
-    // Pick the dispatch queue: any ready queue, else any aged-out head,
-    // else sleep until the earliest head deadline. Among several
-    // dispatchable queues the one whose head waited longest wins (FIFO
-    // fairness across buckets).
+    //
+    // Among several dispatchable queues the one whose head waited longest
+    // wins (FIFO fairness across buckets); with none, the batcher sleeps
+    // until the earliest head deadline.
+    const bool admission_full = opts_.admission == AdmissionPolicy::kBlock &&
+                                pending() >= opts_.max_queue;
+    const auto now = Clock::now();
     std::size_t dispatch_q = queues_.size();
-    while (pending_locked() > 0 && dispatch_q == queues_.size()) {
-      const auto now = Clock::now();
-      std::size_t best = queues_.size();
-      std::uint64_t best_id = 0;
-      Clock::time_point earliest_deadline{};
-      bool have_deadline = false;
-      for (std::size_t q = 0; q < queues_.size(); ++q) {
-        if (queues_[q].empty()) {
-          continue;
+    std::uint64_t best_id = 0;
+    Clock::time_point earliest_deadline = Clock::time_point::max();
+    for (std::size_t q = 0; q < queues_.size(); ++q) {
+      if (queues_[q].empty()) {
+        continue;
+      }
+      const auto deadline = head_deadline_locked(q);
+      if (stopping_ || admission_full ||
+          queues_[q].size() >=
+              bucketing.max_batch_for(q, opts_.batcher.max_batch) ||
+          now >= deadline) {
+        if (dispatch_q == queues_.size() || queues_[q].front().id < best_id) {
+          dispatch_q = q;
+          best_id = queues_[q].front().id;
         }
-        const auto deadline = queue_deadline(q);
-        if (queue_ready(q) || now >= deadline) {
-          if (best == queues_.size() || queues_[q].front().id < best_id) {
-            best = q;
-            best_id = queues_[q].front().id;
-          }
-        } else if (!have_deadline || deadline < earliest_deadline) {
-          earliest_deadline = deadline;
-          have_deadline = true;
-        }
+      } else {
+        earliest_deadline = std::min(earliest_deadline, deadline);
       }
-      if (best != queues_.size()) {
-        dispatch_q = best;
-        break;
-      }
-      if (!have_deadline) {
-        break;  // queues drained while scanning (shed) — outer loop re-waits
-      }
-      batcher_cv_.wait_until(lk, earliest_deadline, any_ready);
-      // Loop re-scans: either a queue became ready, a head aged out, or a
-      // newer-deadline head replaced a shed one.
     }
     if (dispatch_q == queues_.size()) {
+      if (stopping_) {
+        return;  // every queue is empty: shutdown dispatched them all
+      }
+      // The one sleep point. Submitters read batcher_deadline_ to decide
+      // whether a push must wake the batcher; every return is a re-scan.
+      batcher_deadline_ = earliest_deadline;
+      if (earliest_deadline == Clock::time_point::max()) {
+        batcher_cv_.wait(lk);
+      } else {
+        batcher_cv_.wait_until(lk, earliest_deadline);
+      }
+      batcher_deadline_ = Clock::time_point::max();
+      stats_.on_batcher_wakeup();
       continue;
     }
 
@@ -322,6 +314,7 @@ void StarServer::batcher_loop() {
       formed.push_back(std::move(queue.front()));
       queue.pop_front();
     }
+    pending_.fetch_sub(take, std::memory_order_relaxed);
     const std::int64_t padded_len =
         bucketing.padded_len(dispatch_q, batch_max_len);
     // The billed slot width covers every member (LengthBucketing routes a
@@ -343,14 +336,16 @@ void StarServer::batcher_loop() {
             bucketing.max_batch_for(dispatch_q, opts_.batcher.max_batch)) *
             static_cast<std::uint64_t>(padded_len));
     batch_in_flight_ = true;
-    space_cv_.notify_all();
+    if (blocked_submitters_ > 0) {
+      space_cv_.notify_all();
+    }
     lk.unlock();
     // Jobs catch their own exceptions (into their futures), so the
     // scheduler never rethrows into the serving loop.
     sched_.run(formed.size(), [&](std::size_t i) { formed[i].run(ctx); });
     lk.lock();
     batch_in_flight_ = false;
-    if (pending_locked() == 0) {
+    if (drain_waiters_ > 0 && pending() == 0) {
       idle_cv_.notify_all();
     }
   }
@@ -363,7 +358,9 @@ void StarServer::record_done(const RequestStats& rs, bool ok) {
 
 void StarServer::drain() {
   std::unique_lock<std::mutex> lk(mu_);
-  idle_cv_.wait(lk, [&] { return pending_locked() == 0 && !batch_in_flight_; });
+  ++drain_waiters_;
+  idle_cv_.wait(lk, [&] { return pending() == 0 && !batch_in_flight_; });
+  --drain_waiters_;
 }
 
 void StarServer::shutdown() {
@@ -408,11 +405,6 @@ ServerStats StarServer::stats() const {
   s.cost_cache_bypasses = cc.bypasses;
   s.cost_cache_hit_rate = cc.hit_rate();
   return s;
-}
-
-std::size_t StarServer::pending() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return pending_locked();
 }
 
 }  // namespace star::serve

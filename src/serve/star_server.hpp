@@ -34,6 +34,7 @@
 // and never affect batchmates or the server loop.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -121,7 +122,11 @@ class StarServer {
   /// which needs the latency reservoirs themselves (see the fleet-merge
   /// notes on StatsAccumulator), not just the snapshot.
   [[nodiscard]] StatsAccumulator stats_accumulator() const;
-  [[nodiscard]] std::size_t pending() const;  ///< queued, not yet dispatched
+  /// Queued, not yet dispatched. Lock-free: an atomic counter kept under
+  /// the server mutex, so a router may poll it on every request.
+  [[nodiscard]] std::size_t pending() const {
+    return pending_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] const ServerOptions& options() const { return opts_; }
   [[nodiscard]] const core::BatchEncoderSim& model() const { return model_; }
 
@@ -152,7 +157,8 @@ class StarServer {
                                     ComputeFn compute);
   void batcher_loop();
   void record_done(const RequestStats& rs, bool ok);
-  [[nodiscard]] std::size_t pending_locked() const;
+  /// Age-out deadline of queue q's head (q must be non-empty).
+  [[nodiscard]] Clock::time_point head_deadline_locked(std::size_t q) const;
   /// The queue whose head has been waiting longest (by admission id);
   /// queues_.size() when everything is empty.
   [[nodiscard]] std::size_t oldest_head_locked() const;
@@ -162,13 +168,22 @@ class StarServer {
   const ServerOptions opts_;
 
   mutable std::mutex mu_;
-  std::condition_variable batcher_cv_;  ///< work arrived / shutdown
+  // Each condition variable is notified only when its waiter's decision
+  // can change (see the wake rules in submit_impl and batcher_loop).
+  std::condition_variable batcher_cv_;  ///< batcher's next decision changed
   std::condition_variable space_cv_;    ///< queue space freed (kBlock)
   std::condition_variable idle_cv_;     ///< fully drained (drain())
   /// One FIFO per batcher queue (pad-to-max: exactly one; bucketed: one
   /// per bucket + the overflow queue). The admission bound `max_queue`
   /// applies to the TOTAL across queues.
   std::vector<std::deque<Pending>> queues_;
+  /// Total across queues_; written under mu_, read lock-free by pending().
+  std::atomic<std::size_t> pending_{0};
+  /// The deadline the batcher sleeps toward; max() while it is idle (no
+  /// deadline) or busy (it re-scans before it sleeps again).
+  Clock::time_point batcher_deadline_ = Clock::time_point::max();
+  std::size_t blocked_submitters_ = 0;  ///< waiting on space_cv_
+  std::size_t drain_waiters_ = 0;       ///< waiting on idle_cv_
   bool stopping_ = false;
   bool batch_in_flight_ = false;
   std::uint64_t next_request_id_ = 0;

@@ -261,12 +261,13 @@ TEST(Cluster, FleetLedgerEqualsSumOfNodesAndRoutingIsAccounted) {
 
   // Fleet totals are exactly the per-node sums.
   std::uint64_t submitted = 0, admitted = 0, completed = 0, batches = 0,
-                effective = 0;
+                wakeups = 0, effective = 0;
   for (const auto& n : cs.per_node) {
     submitted += n.submitted;
     admitted += n.admitted;
     completed += n.completed;
     batches += n.batches;
+    wakeups += n.batcher_wakeups;
     effective += n.effective_tokens;
   }
   EXPECT_EQ(cs.submitted, kN);
@@ -275,6 +276,7 @@ TEST(Cluster, FleetLedgerEqualsSumOfNodesAndRoutingIsAccounted) {
   EXPECT_EQ(cs.completed, completed);
   EXPECT_EQ(cs.completed, kN);
   EXPECT_EQ(cs.batches, batches);
+  EXPECT_EQ(cs.batcher_wakeups, wakeups);
   EXPECT_EQ(cs.effective_tokens, effective);
 
   // The router's counters agree with where responses said they ran, and

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <future>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/batch_encoder.hpp"
@@ -50,6 +51,20 @@ nn::Tensor solo_reference(const core::BatchEncoderSim& model,
                           const nn::Tensor& input, std::uint64_t run_seed) {
   // The serving seed rule: a solo run is batch index 0 of run_seed.
   return model.run_encoder_one(input, workload::sequence_seed(run_seed, 0));
+}
+
+/// Generous bound for "promptly": far below the 100 s parked deadline,
+/// far above any sanitizer-build scheduling delay.
+constexpr auto kPrompt = std::chrono::seconds(10);
+
+/// Long enough for the batcher thread to fall asleep after a submit.
+void let_batcher_sleep() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+template <typename Response>
+bool resolves_promptly(std::future<Response>& fut) {
+  return fut.wait_for(kPrompt) == std::future_status::ready;
 }
 
 // ---------- determinism contract ----------
@@ -322,6 +337,151 @@ TEST(StarServer, SubmitAfterShutdownIsRejected) {
   EXPECT_EQ(server.stats().rejected, 1u);
 }
 
+// ---------- batcher wake rules ----------
+//
+// A submit wakes the batcher only when the push can change its next
+// decision: the queue reaches max_batch, admission fills under kBlock, or
+// a new head ages out before the deadline the batcher sleeps toward. These
+// tests pin each rule against a batcher asleep on a far deadline, where a
+// missed wake would park the request for 100 s. Shutdown of a sleeping
+// batcher is covered by DestructorResolvesEveryAdmittedFuture.
+
+TEST(StarServerWake, SizeTriggerWakesASleepingBatcher) {
+  const auto& model = shared_model();
+  sim::BatchScheduler sched(1);
+  serve::ServerOptions opts =
+      parked_queue_opts(64, serve::AdmissionPolicy::kBlock);
+  opts.batcher.max_batch = 4;
+  serve::StarServer server(model, sched, opts);
+
+  std::vector<std::future<serve::AnalyticResponse>> futs;
+  for (int i = 0; i < 3; ++i) {
+    futs.push_back(server.submit(serve::AnalyticRequest{32}));
+  }
+  let_batcher_sleep();  // asleep toward the head's 100 s deadline
+  futs.push_back(server.submit(serve::AnalyticRequest{32}));
+  for (auto& fut : futs) {
+    ASSERT_TRUE(resolves_promptly(fut));
+    EXPECT_EQ(fut.get().stats.batch_size, 4u);
+  }
+}
+
+TEST(StarServerWake, EarlierHeadInShorterBucketDispatchesAtItsOwnDeadline) {
+  const auto& model = shared_model();
+  sim::BatchScheduler sched(1);
+  serve::ServerOptions opts;
+  opts.batcher.max_batch = 1000;
+  opts.batcher.tick = std::chrono::milliseconds(10);
+  opts.batcher.max_wait_ticks = 10000;  // long bucket: 100 s
+  opts.batcher.bucketing = serve::LengthBucketing::bucketed({16, 64});
+  opts.batcher.bucketing.buckets[0].max_wait_ticks = 5;  // short: 50 ms
+  serve::StarServer server(model, sched, opts);
+
+  auto long_req = server.submit(serve::AnalyticRequest{32});
+  let_batcher_sleep();  // asleep toward the long head's 100 s deadline
+  auto short_req = server.submit(serve::AnalyticRequest{8});
+  ASSERT_TRUE(resolves_promptly(short_req));
+  const auto resp = short_req.get();
+  EXPECT_EQ(resp.stats.bucket, 0u);
+  EXPECT_GE(resp.stats.queue_wait_s, 0.05);  // age-out honoured, not early
+  EXPECT_EQ(long_req.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);  // still parked on its own window
+  server.shutdown();
+  EXPECT_EQ(long_req.get().stats.bucket, 1u);
+}
+
+TEST(StarServerWake, BlockDispatchesWhenAdmissionFillsBelowMaxBatch) {
+  const auto& model = shared_model();
+  sim::BatchScheduler sched(1);
+  // max_batch > max_queue: the size trigger can never fire, only the full
+  // admission queue can.
+  serve::StarServer server(
+      model, sched, parked_queue_opts(3, serve::AdmissionPolicy::kBlock));
+
+  std::vector<std::future<serve::AnalyticResponse>> futs;
+  for (int i = 0; i < 6; ++i) {
+    futs.push_back(server.submit(serve::AnalyticRequest{32}));
+  }
+  for (auto& fut : futs) {
+    ASSERT_TRUE(resolves_promptly(fut));
+    EXPECT_EQ(fut.get().stats.batch_size, 3u);
+  }
+  EXPECT_EQ(server.stats().batches, 2u);
+}
+
+TEST(StarServerWake, DrainDuringSleepResolvesEveryFuture) {
+  const auto& model = shared_model();
+  sim::BatchScheduler sched(1);
+  serve::ServerOptions opts;
+  opts.batcher.max_batch = 1000;
+  opts.batcher.tick = std::chrono::milliseconds(1);
+  opts.batcher.max_wait_ticks = 20;
+  serve::StarServer server(model, sched, opts);
+
+  std::vector<std::future<serve::AnalyticResponse>> futs;
+  for (int i = 0; i < 3; ++i) {
+    futs.push_back(server.submit(serve::AnalyticRequest{32}));
+  }
+  // Two concurrent drainers: both must be released by the one batch.
+  std::thread other([&] { server.drain(); });
+  server.drain();
+  other.join();
+  for (auto& fut : futs) {
+    EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  }
+  EXPECT_EQ(server.pending(), 0u);
+}
+
+TEST(StarServerWake, ShedOfTheSleptOnHeadStillResolvesEveryFuture) {
+  const auto& model = shared_model();
+  sim::BatchScheduler sched(1);
+  serve::ServerOptions opts;
+  opts.max_queue = 2;
+  opts.admission = serve::AdmissionPolicy::kShedOldest;
+  opts.batcher.max_batch = 1000;
+  opts.batcher.tick = std::chrono::milliseconds(1);
+  opts.batcher.max_wait_ticks = 30;
+  serve::StarServer server(model, sched, opts);
+
+  auto oldest = server.submit(serve::AnalyticRequest{32});
+  let_batcher_sleep();  // asleep toward the oldest head's deadline
+  auto second = server.submit(serve::AnalyticRequest{32});
+  auto third = server.submit(serve::AnalyticRequest{32});  // sheds `oldest`
+  EXPECT_THROW(oldest.get(), serve::ShedError);
+  ASSERT_TRUE(resolves_promptly(second));
+  ASSERT_TRUE(resolves_promptly(third));
+  // The replacement head is owed its own full window.
+  EXPECT_GE(second.get().stats.queue_wait_s, 0.03);
+  EXPECT_NO_THROW(third.get());
+  EXPECT_EQ(server.stats().shed, 1u);
+}
+
+TEST(StarServerWake, NonFillingPushesDoNotWakeTheBatcher) {
+  const auto& model = shared_model();
+  sim::BatchScheduler sched(1);
+  serve::StarServer server(
+      model, sched, parked_queue_opts(1000, serve::AdmissionPolicy::kBlock));
+  std::vector<std::future<serve::AnalyticResponse>> futs;
+  futs.push_back(server.submit(serve::AnalyticRequest{32}));
+  let_batcher_sleep();
+  const std::uint64_t before = server.stats().batcher_wakeups;
+  constexpr int kPushes = 50;
+  for (int i = 0; i < kPushes; ++i) {
+    futs.push_back(server.submit(serve::AnalyticRequest{32}));
+    // Spaced out so that each push finds the batcher asleep; back-to-back
+    // pushes would coalesce even unconditional notifies into one wake.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  let_batcher_sleep();
+  // Allow a couple of spurious wakes, never one per push.
+  EXPECT_LE(server.stats().batcher_wakeups - before, 2u);
+  EXPECT_EQ(server.pending(), futs.size());
+  server.shutdown();
+  for (auto& fut : futs) {
+    EXPECT_NO_THROW(fut.get());
+  }
+}
+
 // ---------- exception propagation + lifecycle ----------
 
 TEST(StarServer, ComputeExceptionPropagatesThroughOwnFutureOnly) {
@@ -388,6 +548,7 @@ TEST(StarServer, DestructorResolvesEveryAdmittedFuture) {
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       futs.push_back(server.submit(serve::EncoderRequest{inputs[i], i}));
     }
+    let_batcher_sleep();  // shutdown must reach a batcher asleep on 100 s
   }  // ~StarServer: shutdown() dispatches the parked batch
   for (std::size_t i = 0; i < futs.size(); ++i) {
     EXPECT_TRUE(nn::Tensor::bit_identical(futs[i].get().output,
