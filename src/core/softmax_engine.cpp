@@ -65,6 +65,11 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
   }
   exp_cam_.fill(cam_codes);
   exp_lut_.fill(lut_words);
+  // The datapath resolves each CAM search to its one matchline through the
+  // code->row index; both CAMs hold a bijective preload, so no search can
+  // raise two lines.
+  STAR_ASSERT(cam_sub_.unique_codes() && exp_cam_.unique_codes(),
+              "SoftmaxEngine: CAM preloads must store pairwise distinct codes");
 
   // Summation crossbar periphery: the VMM stores the same table as the LUT;
   // its input is the counter histogram applied bit-serially.
@@ -111,17 +116,20 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   require(!codes.empty(), "SoftmaxEngine::forward_codes: empty row");
   STAR_ASSERT(probs_out.size() == codes.size(),
               "SoftmaxEngine::forward_codes_into: output span length mismatch");
-  const std::int64_t code_max_allowed = (std::int64_t{1} << fmt_.total_bits()) - 1;
+  // Operand range, checked once per row (the min/max scan vectorizes).
+  std::int64_t lo = codes[0];
+  std::int64_t hi = codes[0];
   for (const auto c : codes) {
-    require(c >= 0 && c <= code_max_allowed,
-            "SoftmaxEngine::forward_codes: code out of operand range");
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
   }
+  require(lo >= 0 && hi < (std::int64_t{1} << fmt_.total_bits()),
+          "SoftmaxEngine::forward_codes: code out of operand range");
   SoftmaxScratch& scratch = run.scratch;
 
   // Stage 1: CAM/SUB — max find, then subtraction (Fig. 1). Both phases
   // run against reused scratch (warm rows: zero allocations).
-  cam_sub_.find_max_into(codes, cfg_.cam_miss_prob, run.rng, scratch.match,
-                         scratch.maxfind);
+  cam_sub_.find_max_into(codes, cfg_.cam_miss_prob, run.rng, scratch.maxfind);
   scratch.diffs.resize(codes.size());
   cam_sub_.subtract_into(scratch.maxfind, codes, scratch.diffs);
 
@@ -135,33 +143,18 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   hw::CounterArray& counters = *run.counters;
   counters.reset();
   scratch.e_words.assign(codes.size(), 0);
-  if (exp_cam_.unique_codes()) {
-    // O(1) per element: the exp CAM's identity preload (row r stores code
-    // r) is bijective, so search_row resolves the one matchline — and its
-    // fault draw — without materializing/scanning the dense match vector.
-    // e_words, counters and the RNG stream match the dense branch bit for
-    // bit.
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      const std::int64_t mag = -scratch.diffs[i];
-      if (mag < exp_cam_.rows()) {
-        const int row = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
-        if (row >= 0) {
-          scratch.e_words[i] = exp_lut_.word_at(row);
-          counters.accumulate_row(row);
-        }
+  // The exp CAM's identity preload (row r stores code r) is bijective, so
+  // each search resolves its one matchline — and its fault draw — in O(1).
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const std::int64_t mag = -scratch.diffs[i];
+    if (mag < exp_cam_.rows()) {
+      const int row = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
+      if (row >= 0) {
+        scratch.e_words[i] = exp_lut_.word_at(row);
+        counters.accumulate_row(row);
       }
-      // else: no matchline rises; e_word stays 0 and the counters hold.
     }
-  } else {
-    for (std::size_t i = 0; i < codes.size(); ++i) {
-      const std::int64_t mag = -scratch.diffs[i];
-      if (mag < exp_cam_.rows()) {
-        exp_cam_.search_into(mag, cfg_.cam_miss_prob, run.rng, scratch.match);
-        scratch.e_words[i] = exp_lut_.read(scratch.match);
-        counters.accumulate(scratch.match);
-      }
-      // else: no matchline rises; e_word stays 0 and the counters hold.
-    }
+    // else: no matchline rises; e_word stays 0 and the counters hold.
   }
 
   // Stage 3: summation VMM (counter histogram . stored table).
@@ -172,7 +165,7 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
     probs_out[i] = divider_.divide(scratch.e_words[i], denom, prob_frac_bits_);
   }
 
-  run.last_stats = compute_row_stats(static_cast<int>(codes.size()));
+  run.last_row_len = static_cast<int>(codes.size());
 }
 
 std::vector<double> SoftmaxEngine::operator()(std::span<const double> x) {
@@ -198,12 +191,14 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
   // Input conditioning: scores arrive as biased-signed fixed point —
   // code = round(x / res) + 2^(b-1), clamped into the window. Values below
   // the window floor are exactly the ones whose exponential underflows.
-  const double res = fmt_.resolution();
+  // res is 2^-frac_bits, so x * 2^frac_bits is exactly x / res (both are
+  // the correctly rounded value of the same real) without a divide.
+  const double inv_res = std::ldexp(1.0, fmt_.frac_bits);
   const std::int64_t bias = std::int64_t{1} << (fmt_.total_bits() - 1);
   const std::int64_t top = (std::int64_t{1} << fmt_.total_bits()) - 1;
   scratch.codes.resize(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto c = static_cast<std::int64_t>(round_half_even(x[i] / res)) + bias;
+    const auto c = static_cast<std::int64_t>(round_half_even(x[i] * inv_res)) + bias;
     scratch.codes[i] = std::clamp<std::int64_t>(c, 0, top);
   }
 
@@ -228,6 +223,11 @@ std::int64_t SoftmaxEngine::summation_vmm(std::span<const std::int64_t> counts) 
     acc += counts[r] * exp_lut_.word_at(static_cast<int>(r));
   }
   return acc;
+}
+
+SoftmaxRowStats SoftmaxEngine::row_stats() const {
+  return run_.last_row_len > 0 ? compute_row_stats(run_.last_row_len)
+                               : SoftmaxRowStats{};
 }
 
 SoftmaxRowStats SoftmaxEngine::compute_row_stats(int d) const {

@@ -63,15 +63,14 @@ struct SoftmaxScratch {
   std::vector<std::int64_t> codes;    ///< quantised operand row
   std::vector<std::int64_t> diffs;    ///< x_i - x_max from the CAM/SUB
   std::vector<std::int64_t> e_words;  ///< LUT readouts per element
-  std::vector<bool> match;            ///< one search's matchline vector
   xbar::MaxFindResult maxfind;        ///< phase-A result (vectors reused)
   std::vector<std::int64_t> prob_codes;  ///< probability codes (codes stays live)
 };
 
 /// Per-run mutable state of one stream through a (shared, read-only)
-/// SoftmaxEngine: the fault-injection RNG stream and the last-row cost
-/// record. Each concurrent sequence owns one; the engine itself is never
-/// mutated on the const datapath.
+/// SoftmaxEngine: the fault-injection RNG stream and the last row's length.
+/// Each concurrent sequence owns one; the engine itself is never mutated on
+/// the const datapath.
 struct SoftmaxRunState {
   explicit SoftmaxRunState(std::uint64_t seed = 0xCA3) : rng(seed) {}
 
@@ -83,7 +82,10 @@ struct SoftmaxRunState {
   void reseed(std::uint64_t seed) { rng = Rng(seed); }
 
   Rng rng;
-  SoftmaxRowStats last_stats;
+  /// Length of the last processed row (0: none yet). The row's cost record
+  /// is derived from it on demand (SoftmaxEngine::row_stats()), so the
+  /// datapath itself never runs the analytic cost walk.
+  int last_row_len = 0;
   /// Per-run counter array, cloned from the engine's prototype on first
   /// use and reset per row (so the hot loop never allocates).
   std::optional<hw::CounterArray> counters;
@@ -97,7 +99,7 @@ class SoftmaxEngine final : public nn::RowSoftmax {
 
   // --- functional interface (nn::RowSoftmax) ---
   /// Softmax of a real-valued row, computed through the full quantised
-  /// crossbar datapath. Also updates row_stats().
+  /// crossbar datapath. row_stats() then describes this row.
   [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override;
   [[nodiscard]] const char* name() const override { return "star-crossbar"; }
 
@@ -141,7 +143,10 @@ class SoftmaxEngine final : public nn::RowSoftmax {
   [[nodiscard]] Power active_power(int d) const;
   [[nodiscard]] Time row_latency(int d) const;
   [[nodiscard]] Energy row_energy(int d) const;
-  [[nodiscard]] const SoftmaxRowStats& row_stats() const { return run_.last_stats; }
+  /// Cost record of the last row through the member-state entry points
+  /// (operator(), forward_codes(codes)): compute_row_stats(its length),
+  /// computed when asked. All zero before the first row.
+  [[nodiscard]] SoftmaxRowStats row_stats() const;
   /// Full cost record of one row of length d (pure; thread-safe).
   [[nodiscard]] SoftmaxRowStats compute_row_stats(int d) const;
   /// One-time table preload cost (CAM/SUB codes, exp table, sum table).

@@ -70,8 +70,14 @@ bool QFormat::representable(double v) const {
 }
 
 std::string QFormat::name() const {
-  return "Q" + std::to_string(int_bits) + "." + std::to_string(frac_bits) +
-         (is_signed ? "s" : "u");
+  // Appends into one string: GCC 12 at -O3 flags the chained operator+
+  // temporaries with a false-positive -Wrestrict.
+  std::string out = "Q";
+  out += std::to_string(int_bits);
+  out += '.';
+  out += std::to_string(frac_bits);
+  out += is_signed ? 's' : 'u';
+  return out;
 }
 
 }  // namespace star::fxp

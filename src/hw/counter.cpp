@@ -38,14 +38,4 @@ void CounterArray::accumulate(const std::vector<bool>& one_hot) {
   STAR_ASSERT(set_bits <= 1, "CounterArray::accumulate: input must be one-hot");
 }
 
-// STAR_HOT
-void CounterArray::accumulate_row(int row) {
-  require(row >= 0 && row < rows_, "CounterArray::accumulate_row: row out of range");
-  const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
-  std::int64_t& c = counts_[static_cast<std::size_t>(row)];
-  if (c < sat) {
-    ++c;
-  }
-}
-
 }  // namespace star::hw

@@ -8,6 +8,7 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/status.hpp"
 
 namespace star::hw {
 
@@ -35,8 +36,16 @@ class CounterArray {
 
   /// O(1) accumulate of a known single matchline: identical saturation rule
   /// to accumulate() with only bit `row` set. Hot-path companion for CAM
-  /// searches that resolve the matching row directly.
-  void accumulate_row(int row);
+  /// searches that resolve the matching row directly (inline: it runs once
+  /// per softmax element).
+  void accumulate_row(int row) {
+    require(row >= 0 && row < rows_, "CounterArray::accumulate_row: row out of range");
+    const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
+    std::int64_t& c = counts_[static_cast<std::size_t>(row)];
+    if (c < sat) {
+      ++c;
+    }
+  }
 
   /// Current histogram.
   [[nodiscard]] const std::vector<std::int64_t>& counts() const { return counts_; }

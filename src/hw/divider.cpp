@@ -18,16 +18,4 @@ Divider::Divider(const TechNode& tech, int bits, int cost_bits) : bits_(bits) {
   }
 }
 
-std::int64_t Divider::divide(std::int64_t num, std::int64_t den, int frac_out_bits) const {
-  require(frac_out_bits >= 0 && frac_out_bits <= 32,
-          "Divider::divide: frac_out_bits must be in [0, 32]");
-  require(num >= 0 && den >= 0, "Divider::divide: unsigned datapath only");
-  const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
-  if (den == 0) {
-    return sat;
-  }
-  const std::int64_t q = (num << frac_out_bits) / den;
-  return q > sat ? sat : q;
-}
-
 }  // namespace star::hw

@@ -6,6 +6,7 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/status.hpp"
 
 namespace star::hw {
 
@@ -25,8 +26,19 @@ class Divider {
   /// quotient as a fixed-point code with `frac_out_bits` fraction bits.
   /// den == 0 saturates to the maximum representable code (hardware
   /// behaviour of the saturating divider).
+  /// Inline: the softmax engine divides once per element.
   [[nodiscard]] std::int64_t divide(std::int64_t num, std::int64_t den,
-                                    int frac_out_bits) const;
+                                    int frac_out_bits) const {
+    require(frac_out_bits >= 0 && frac_out_bits <= 32,
+            "Divider::divide: frac_out_bits must be in [0, 32]");
+    require(num >= 0 && den >= 0, "Divider::divide: unsigned datapath only");
+    const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
+    if (den == 0) {
+      return sat;
+    }
+    const std::int64_t q = (num << frac_out_bits) / den;
+    return q > sat ? sat : q;
+  }
 
  private:
   int bits_;

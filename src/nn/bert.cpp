@@ -42,15 +42,4 @@ Tensor encoder_layer_forward(const Tensor& x, const EncoderLayerWeights& w,
   return layer_norm(y + ff);
 }
 
-std::vector<Tensor> encoder_layer_forward_batch(std::span<const Tensor> xs,
-                                                const EncoderLayerWeights& w,
-                                                RowSoftmax& softmax_impl) {
-  std::vector<Tensor> out;
-  out.reserve(xs.size());
-  for (const Tensor& x : xs) {
-    out.push_back(encoder_layer_forward(x, w, softmax_impl));
-  }
-  return out;
-}
-
 }  // namespace star::nn

@@ -3,8 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "nn/attention.hpp"
 #include "nn/tensor.hpp"
@@ -42,13 +40,5 @@ struct EncoderLayerWeights {
 /// y = LN(x + MHA(x)); out = LN(y + FF2(gelu(FF1(y)))).
 Tensor encoder_layer_forward(const Tensor& x, const EncoderLayerWeights& w,
                              RowSoftmax& softmax_impl);
-
-/// Sequential reference for a batch of B independent sequences through one
-/// encoder layer: out[i] = encoder_layer_forward(xs[i]). The batched
-/// (multi-threaded) path in core::BatchEncoderSim must be bit-identical to
-/// this loop for every thread count.
-std::vector<Tensor> encoder_layer_forward_batch(std::span<const Tensor> xs,
-                                                const EncoderLayerWeights& w,
-                                                RowSoftmax& softmax_impl);
 
 }  // namespace star::nn

@@ -1,5 +1,6 @@
 #include "nn/workspace.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "nn/ops.hpp"
@@ -28,6 +29,11 @@ TensorView view_of(Tensor& t) {
 
 void Workspace::require_capacity(std::size_t doubles) {
   if (buf_.size() < doubles) {
+    // Release the old buffer before taking the larger one: no view can
+    // reach its contents any more, so copying them (what resize() does)
+    // is waste, and holding both at once raises the peak RSS by the old
+    // size and leaves it behind as an allocator hole.
+    buf_ = std::vector<double>();
     buf_.resize(doubles);
   }
 }
@@ -94,18 +100,38 @@ void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out) {
       orow[j] = 0.0;
     }
   }
-  // Same k-ascending accumulation per output element as
-  // matmul_into(a, transposed(b)): b^T(k, j) == b(j, k).
-  for (std::size_t i = 0; i < a.rows; ++i) {
-    const double* arow = a.data + i * a.stride;
-    double* orow = out.data + i * out.stride;
-    for (std::size_t k = 0; k < a.cols; ++k) {
-      const double av = arow[k];
-      if (av == 0.0) {
-        continue;
+  // b^T(k, j) == b(j, k). A kTileK x kTileJ block of b^T is transposed
+  // once into a stack tile and reused by every row of a, so the inner j
+  // loop reads contiguous doubles (and vectorizes) instead of striding a
+  // cache line per MAC. k-tiles run in ascending order and k ascends within
+  // a tile, so each output element accumulates over ascending k with the
+  // same zero-operand skip as matmul_into(a, transposed(b)): bit-identical.
+  constexpr std::size_t kTileK = 32;
+  constexpr std::size_t kTileJ = 64;
+  double tile[kTileK][kTileJ];
+  for (std::size_t j0 = 0; j0 < b.rows; j0 += kTileJ) {
+    const std::size_t nj = std::min(kTileJ, b.rows - j0);
+    for (std::size_t k0 = 0; k0 < a.cols; k0 += kTileK) {
+      const std::size_t nk = std::min(kTileK, a.cols - k0);
+      for (std::size_t jj = 0; jj < nj; ++jj) {
+        const double* brow = b.data + (j0 + jj) * b.stride + k0;
+        for (std::size_t kk = 0; kk < nk; ++kk) {
+          tile[kk][jj] = brow[kk];
+        }
       }
-      for (std::size_t j = 0; j < b.rows; ++j) {
-        orow[j] += av * b.data[j * b.stride + k];
+      for (std::size_t i = 0; i < a.rows; ++i) {
+        const double* arow = a.data + i * a.stride + k0;
+        double* orow = out.data + i * out.stride + j0;
+        for (std::size_t kk = 0; kk < nk; ++kk) {
+          const double av = arow[kk];
+          if (av == 0.0) {
+            continue;
+          }
+          const double* trow = tile[kk];
+          for (std::size_t jj = 0; jj < nj; ++jj) {
+            orow[jj] += av * trow[jj];
+          }
+        }
       }
     }
   }

@@ -79,8 +79,9 @@ struct TensorView {
 
 /// Bump allocator over one contiguous double buffer.
 ///
-/// Discipline: require_capacity() (which MAY reallocate) is only legal
-/// while no views into the arena are live — size before slicing. alloc()
+/// Discipline: require_capacity() (which MAY reallocate, discarding the
+/// contents) is only legal while no views into the arena are live — size
+/// before slicing. alloc()
 /// never grows; it asserts instead, so an undersized arena fails loudly in
 /// every build type rather than silently invalidating live views.
 class Workspace {
@@ -120,8 +121,9 @@ class Workspace {
 /// either input.
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
-/// out = a * b^T without materializing the transpose; per-element
-/// accumulation order matches matmul_into(a, transposed(b)) exactly.
+/// out = a * b^T without materializing the transpose (b^T passes through a
+/// fixed 32 x 64 stack tile, so no allocation); per-element accumulation
+/// order matches matmul_into(a, transposed(b)) exactly.
 void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// Element-wise in-place scale (Tensor::scale).

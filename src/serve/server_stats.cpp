@@ -98,6 +98,13 @@ void StatsAccumulator::on_done(const RequestStats& rs, bool ok) {
   programming_sum_us_ += rs.programming_us;
   transport_sum_us_ += rs.transport_us;
   const std::uint64_t seen = completed_ + failed_;
+  if (queue_wait_s_.capacity() == 0) {
+    // The reservoir is fixed-size: take it in one allocation (its pages are
+    // touched only as slots fill) instead of doubling through 16 copies on
+    // the serving thread, each leaving its predecessor as a heap hole.
+    queue_wait_s_.reserve(kMaxLatencySamples);
+    service_s_.reserve(kMaxLatencySamples);
+  }
   if (queue_wait_s_.size() < kMaxLatencySamples) {
     queue_wait_s_.push_back(rs.queue_wait_s);
     service_s_.push_back(rs.service_s);

@@ -7,35 +7,6 @@
 
 namespace star::sim {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::add_all(std::span<const double> xs) {
-  for (double x : xs) {
-    add(x);
-  }
-}
-
-double RunningStats::variance() const {
-  return n_ >= 2 ? m2_ / static_cast<double>(n_) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double RunningStats::min() const { return n_ ? min_ : 0.0; }
-
-double RunningStats::max() const { return n_ ? max_ : 0.0; }
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {
   require(hi > lo, "Histogram: hi must be > lo");

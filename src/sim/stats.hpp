@@ -1,35 +1,12 @@
-// Online statistics and histograms for workload analysis (score ranges for
-// the bitwidth study, utilisation distributions, error summaries).
+// Histograms for workload analysis (score ranges for the bitwidth study,
+// utilisation distributions, error summaries).
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
 namespace star::sim {
-
-/// Welford online accumulator: numerically stable mean/variance plus
-/// min/max tracking.
-class RunningStats {
- public:
-  void add(double x);
-  void add_all(std::span<const double> xs);
-
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double variance() const;  ///< population variance
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
 /// edge bins (they matter for range analyses, so they are not dropped).

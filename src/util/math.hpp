@@ -1,6 +1,7 @@
 // Small numeric helpers shared across the simulator.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -26,8 +27,26 @@ constexpr int bits_for(std::uint64_t n) {
 constexpr bool is_pow2(std::uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 /// Round to nearest, ties to even (the hardware-friendly rounding the
-/// quantisers use by default).
-double round_half_even(double v);
+/// quantisers use by default). Branch-free and libm-free: adding and
+/// subtracting 2^52 with v's sign leaves no fraction bits, so the FPU's
+/// round-to-nearest-even (the default mode, never changed by the library)
+/// does the rounding. Exact edge semantics, pinned bit for bit by
+/// tests/test_util.cpp: |v| >= 2^52, +-inf and NaN come back unchanged,
+/// -0.0 stays -0.0, and a negative v that rounds to zero gives +0.0.
+inline double round_half_even(double v) {
+  constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  constexpr std::uint64_t kTwo52Bits = 0x4330000000000000ULL;  // 2^52
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const double shift = std::bit_cast<double>((bits & kSignBit) | kTwo52Bits);
+  const double rounded = (v + shift) - shift;
+  // Pass v through where the shift trick does not apply: already integral
+  // (|v| >= 2^52, inf, NaN) or a signed zero the trick would turn into +0.
+  const std::uint64_t mag = bits & ~kSignBit;
+  const bool pass_through = mag >= kTwo52Bits || mag == 0;
+  const std::uint64_t keep = std::uint64_t{0} - static_cast<std::uint64_t>(pass_through);
+  return std::bit_cast<double>((bits & keep) |
+                               (std::bit_cast<std::uint64_t>(rounded) & ~keep));
+}
 
 /// Clamp helper mirroring std::clamp but tolerant of lo > hi input checks.
 double clamp(double v, double lo, double hi);

@@ -12,13 +12,11 @@ void assert_fail(const char* expr, const char* file, int line, const std::string
                msg.c_str());
   std::abort();
 }
-}  // namespace detail
 
-void require(bool cond, std::string_view message) {
-  if (!cond) {
-    throw InvalidArgument(std::string(message));
-  }
+void throw_invalid_argument(std::string_view message) {
+  throw InvalidArgument(std::string(message));
 }
+}  // namespace detail
 
 std::string expected_got(std::string_view what, long long expected, long long got) {
   std::ostringstream os;

@@ -30,10 +30,18 @@ class SimulationError : public std::runtime_error {
 namespace detail {
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,
                               const std::string& msg);
+/// The out-of-line failure half of require(): builds and throws the
+/// InvalidArgument, kept off the caller's hot path.
+[[noreturn, gnu::cold]] void throw_invalid_argument(std::string_view message);
 }  // namespace detail
 
-/// Require a caller-visible precondition; throws InvalidArgument.
-void require(bool cond, std::string_view message);
+/// Require a caller-visible precondition; throws InvalidArgument. Inline
+/// so a passing check costs one predictable branch at the call site.
+inline void require(bool cond, std::string_view message) {
+  if (!cond) [[unlikely]] {
+    detail::throw_invalid_argument(message);
+  }
+}
 
 /// Build a message like "rows: expected 128, got 64".
 std::string expected_got(std::string_view what, long long expected, long long got);

@@ -118,22 +118,6 @@ void CamCrossbar::search_into(std::int64_t code, double miss_prob, Rng& rng,
   }
 }
 
-// STAR_HOT
-int CamCrossbar::search_row(std::int64_t code, double miss_prob, Rng& rng) const {
-  require(code >= 0 && code < (std::int64_t{1} << bits_),
-          "CamCrossbar::search: code out of range");
-  STAR_ASSERT(unique_codes_, "CamCrossbar::search_row: requires unique stored codes");
-  const std::int32_t r = row_of_code_[static_cast<std::size_t>(code)];
-  if (r < 0) {
-    return -1;
-  }
-  // Same fault-draw rule as the dense scan: with unique codes exactly one
-  // row matches, so exactly one bernoulli is consumed (and none when fault
-  // injection is off) — the RNG stream stays bit-identical.
-  const bool sensed = miss_prob <= 0.0 || !rng.bernoulli(miss_prob);
-  return sensed ? static_cast<int>(r) : -1;
-}
-
 std::optional<int> CamCrossbar::search_index(std::int64_t code) {
   const auto m = search(code);
   for (std::size_t r = 0; r < m.size(); ++r) {

@@ -16,6 +16,7 @@
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
 #include "xbar/device.hpp"
 
 namespace star::xbar {
@@ -64,8 +65,21 @@ class CamCrossbar {
   /// the fault samples the dense scan would (one bernoulli iff a row
   /// matches and miss_prob > 0), so the matchline contents implied by the
   /// result are bit- and RNG-stream-identical to search_into(). Only
-  /// valid when unique_codes() — callers must branch on it.
-  [[nodiscard]] int search_row(std::int64_t code, double miss_prob, Rng& rng) const;
+  /// valid when unique_codes(). Inline: it runs once per softmax element.
+  [[nodiscard]] int search_row(std::int64_t code, double miss_prob, Rng& rng) const {
+    require(code >= 0 && code < (std::int64_t{1} << bits_),
+            "CamCrossbar::search: code out of range");
+    STAR_ASSERT(unique_codes_, "CamCrossbar::search_row: requires unique stored codes");
+    const std::int32_t r = row_of_code_[static_cast<std::size_t>(code)];
+    if (r < 0) {
+      return -1;
+    }
+    // Same fault-draw rule as the dense scan: with unique codes exactly one
+    // row matches, so exactly one bernoulli is consumed (and none when
+    // fault injection is off) — the RNG stream stays bit-identical.
+    const bool sensed = miss_prob <= 0.0 || !rng.bernoulli(miss_prob);
+    return sensed ? static_cast<int>(r) : -1;
+  }
 
   /// The member fault stream (legacy single-stream call sites).
   [[nodiscard]] Rng& fault_rng() { return rng_; }

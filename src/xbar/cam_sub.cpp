@@ -21,6 +21,9 @@ CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int 
     codes[r] = static_cast<std::int64_t>(codes.size() - 1 - r);
   }
   cam_.fill(codes);
+  // find_max_into resolves one matchline per search through the CAM's
+  // code->row index, which exists only for a bijective preload.
+  STAR_ASSERT(cam_.unique_codes(), "CamSubCrossbar: descending preload must be bijective");
 
   const hw::GateLibrary lib(tech);
   // OR merge: one OR gate per matchline accumulating into a register bank.
@@ -46,11 +49,6 @@ CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int 
              sub_read_.leakage;
 }
 
-std::int64_t CamSubCrossbar::code_at(int row) const {
-  require(row >= 0 && row < rows(), "CamSubCrossbar::code_at: row out of range");
-  return static_cast<std::int64_t>(rows() - 1 - row);
-}
-
 int CamSubCrossbar::row_of(std::int64_t code) const {
   require(code >= 0 && code < rows(), "CamSubCrossbar::row_of: code out of range");
   return rows() - 1 - static_cast<int>(code);
@@ -64,15 +62,13 @@ MaxFindResult CamSubCrossbar::find_max(std::span<const std::int64_t> codes,
 MaxFindResult CamSubCrossbar::find_max(std::span<const std::int64_t> codes,
                                        double miss_prob, Rng& rng) const {
   MaxFindResult res;
-  std::vector<bool> match_scratch;
-  find_max_into(codes, miss_prob, rng, match_scratch, res);
+  find_max_into(codes, miss_prob, rng, res);
   return res;
 }
 
 // STAR_HOT
 void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
                                    double miss_prob, Rng& rng,
-                                   std::vector<bool>& match_scratch,
                                    MaxFindResult& res) const {
   require(!codes.empty(), "CamSubCrossbar::find_max: empty input");
   require(miss_prob >= 0.0 && miss_prob <= 1.0,
@@ -81,53 +77,32 @@ void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
   res.max_code = 0;
   res.misses = 0;
   res.merged_matchlines.assign(static_cast<std::size_t>(rows()), false);
-  res.input_rows.clear();
-  res.input_rows.reserve(codes.size());
+  res.input_rows.resize(codes.size());
 
-  if (cam_.unique_codes()) {
-    // O(1) per input: the descending preload is bijective, so each search
-    // raises at most one matchline — search_row resolves it (and draws the
-    // one fault sample) without the dense row scan. Results and RNG stream
-    // are bit-identical to the scan branch below.
-    for (const std::int64_t code : codes) {
-      const int matched_row = cam_.search_row(code, miss_prob, rng);
-      if (matched_row >= 0) {
-        res.merged_matchlines[static_cast<std::size_t>(matched_row)] = true;
-      }
-      STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
-                  "CamSubCrossbar::find_max: every preloaded code must match");
-      res.misses += (matched_row < 0) ? 1 : 0;
-      res.input_rows.push_back(matched_row);
-    }
-  } else {
-    for (const std::int64_t code : codes) {
-      cam_.search_into(code, miss_prob, rng, match_scratch);
-      int matched_row = -1;
-      for (std::size_t r = 0; r < match_scratch.size(); ++r) {
-        if (match_scratch[r]) {
-          res.merged_matchlines[r] = true;  // the OR-gate cascade (Fig. 1, step 3)
-          matched_row = static_cast<int>(r);
-        }
-      }
-      STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
-                  "CamSubCrossbar::find_max: every preloaded code must match");
-      res.misses += (matched_row < 0) ? 1 : 0;
-      res.input_rows.push_back(matched_row);
+  // The descending preload is bijective, so each search raises at most one
+  // matchline: search_row resolves it (and draws its one fault sample) in
+  // O(1). The OR merge sets that line; the priority encoder's first set
+  // line is the smallest matched row, tracked as the searches go.
+  int first_row = rows();
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const int matched_row = cam_.search_row(codes[i], miss_prob, rng);
+    STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
+                "CamSubCrossbar::find_max: every preloaded code must match");
+    res.input_rows[i] = matched_row;
+    if (matched_row >= 0) {
+      res.merged_matchlines[static_cast<std::size_t>(matched_row)] = true;
+      first_row = std::min(first_row, matched_row);
+    } else {
+      ++res.misses;
     }
   }
-
-  // Priority encode: first set bit == largest code (descending preload).
-  for (int r = 0; r < rows(); ++r) {
-    if (res.merged_matchlines[static_cast<std::size_t>(r)]) {
-      res.max_row = r;
-      res.max_code = code_at(r);
-      break;
-    }
-  }
-  if (res.max_row < 0) {
+  if (first_row == rows()) {
     throw SimulationError(
         "CamSubCrossbar::find_max: every search missed; no matchline to encode");
   }
+  // Priority encode: first set line == largest code (descending preload).
+  res.max_row = first_row;
+  res.max_code = code_at(first_row);
 }
 
 std::vector<std::int64_t> CamSubCrossbar::subtract_all(

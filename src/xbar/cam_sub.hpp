@@ -23,6 +23,7 @@
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
 #include "xbar/cam.hpp"
 
 namespace star::xbar {
@@ -47,9 +48,16 @@ class CamSubCrossbar {
   [[nodiscard]] int physical_cols() const { return cam_.physical_cols(); }
 
   /// Code stored on row r (descending preload: 2^bits - 1 - r).
-  [[nodiscard]] std::int64_t code_at(int row) const;
+  [[nodiscard]] std::int64_t code_at(int row) const {
+    require(row >= 0 && row < rows(), "CamSubCrossbar::code_at: row out of range");
+    return static_cast<std::int64_t>(rows() - 1 - row);
+  }
   /// Row storing `code`.
   [[nodiscard]] int row_of(std::int64_t code) const;
+
+  /// True when the CAM's stored codes are pairwise distinct (always, for
+  /// the descending preload): the precondition of the O(d) max-find.
+  [[nodiscard]] bool unique_codes() const { return cam_.unique_codes(); }
 
   /// Phase A over all inputs: d search cycles + OR merge + priority encode.
   /// `miss_prob` injects matchline sensing failures: a missed input raises
@@ -64,13 +72,21 @@ class CamSubCrossbar {
   [[nodiscard]] MaxFindResult find_max(std::span<const std::int64_t> codes,
                                        double miss_prob, Rng& rng) const;
 
-  /// Allocation-free find_max: the result's vectors and the per-search
-  /// matchline scratch are caller-owned and reused across rows (assign/
-  /// clear keep capacity, so a warm row allocates nothing). Identical scan
-  /// and fault-draw order to find_max(), which delegates here.
+  /// Allocation-free find_max: the result's vectors are caller-owned and
+  /// reused across rows (assign/resize keep capacity, so a warm row
+  /// allocates nothing); find_max() delegates here. O(d): each search
+  /// resolves its one matchline through the CAM's code->row index, and the
+  /// priority encoder's answer (the first set merged matchline) is tracked
+  /// as the minimum matched row instead of scanning all 2^bits lines.
   void find_max_into(std::span<const std::int64_t> codes, double miss_prob,
-                     Rng& rng, std::vector<bool>& match_scratch,
-                     MaxFindResult& res) const;
+                     Rng& rng, MaxFindResult& res) const;
+  /// The same, for callers that still pass the per-search matchline
+  /// scratch the dense scan needed; it is left untouched.
+  void find_max_into(std::span<const std::int64_t> codes, double miss_prob,
+                     Rng& rng, std::vector<bool>& /*match_scratch*/,
+                     MaxFindResult& res) const {
+    find_max_into(codes, miss_prob, rng, res);
+  }
 
   /// Phase B: per-element x_i - x_max (non-positive), given a find_max
   /// result. Missed inputs return -(2^bits) (below every representable

@@ -62,11 +62,6 @@ std::int64_t LutCrossbar::read(const std::vector<bool>& one_hot) const {
   return selected < 0 ? 0 : words_[static_cast<std::size_t>(selected)];
 }
 
-std::int64_t LutCrossbar::word_at(int r) const {
-  require(r >= 0 && r < rows_, "LutCrossbar::word_at: row out of range");
-  return words_[static_cast<std::size_t>(r)];
-}
-
 Energy LutCrossbar::program_energy() const {
   return device_.write_energy() * static_cast<double>(rows_) * word_bits_;
 }

@@ -11,6 +11,7 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/status.hpp"
 #include "xbar/device.hpp"
 
 namespace star::xbar {
@@ -33,8 +34,12 @@ class LutCrossbar {
   /// (0 if no line is raised — matches the discharged-bitline behaviour).
   [[nodiscard]] std::int64_t read(const std::vector<bool>& one_hot) const;
 
-  /// Direct indexed read (test convenience; same cost as read()).
-  [[nodiscard]] std::int64_t word_at(int r) const;
+  /// Direct indexed read (same cost as read()). Inline: the engine reads
+  /// one word per softmax element.
+  [[nodiscard]] std::int64_t word_at(int r) const {
+    require(r >= 0 && r < rows_, "LutCrossbar::word_at: row out of range");
+    return words_[static_cast<std::size_t>(r)];
+  }
 
   [[nodiscard]] hw::Cost read_cost() const { return read_cost_; }
   [[nodiscard]] Area area() const { return area_; }

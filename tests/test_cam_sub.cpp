@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "hw/tech.hpp"
 #include "util/rng.hpp"
@@ -96,6 +97,85 @@ TEST(CamSub, InputRowsTrackMatchedRows) {
   EXPECT_EQ(cs.code_at(mf.input_rows[0]), 0);
   EXPECT_EQ(cs.code_at(mf.input_rows[1]), 31);
   EXPECT_EQ(cs.code_at(mf.input_rows[2]), 15);
+}
+
+// Dense-scan reference for find_max_into: every search scans all rows of
+// the descending preload, draws one fault sample per matching row, ORs the
+// matchlines and priority-encodes the first set line.
+MaxFindResult dense_find_max(const CamSubCrossbar& cs,
+                             const std::vector<std::int64_t>& codes, double miss,
+                             Rng& rng) {
+  MaxFindResult res;
+  res.merged_matchlines.assign(static_cast<std::size_t>(cs.rows()), false);
+  for (const std::int64_t code : codes) {
+    int matched = -1;
+    for (int r = 0; r < cs.rows(); ++r) {
+      if (cs.code_at(r) == code) {
+        const bool sensed = miss <= 0.0 || !rng.bernoulli(miss);
+        if (sensed) {
+          res.merged_matchlines[static_cast<std::size_t>(r)] = true;
+          matched = r;
+        }
+      }
+    }
+    res.misses += matched < 0 ? 1 : 0;
+    res.input_rows.push_back(matched);
+  }
+  for (int r = 0; r < cs.rows(); ++r) {
+    if (res.merged_matchlines[static_cast<std::size_t>(r)]) {
+      res.max_row = r;
+      res.max_code = cs.code_at(r);
+      break;
+    }
+  }
+  return res;
+}
+
+TEST(CamSub, FindMaxIntoMatchesDenseScanUnderFaults) {
+  const auto cs = make_camsub(9);
+  Rng data(0xD5);
+  Rng fast_rng(77);
+  Rng dense_rng(77);
+  MaxFindResult got;  // reused across rows, as the engine does
+  int rows_with_misses = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto d = static_cast<std::size_t>(data.uniform_int(1, 300));
+    std::vector<std::int64_t> codes(d);
+    for (auto& c : codes) {
+      c = data.uniform_int(0, cs.rows() - 1);
+    }
+    const double miss = trial % 4 == 0 ? 0.0 : 0.05;
+    const auto want = dense_find_max(cs, codes, miss, dense_rng);
+    if (want.max_row < 0) {
+      // A short row can lose every search: the encoder has nothing to pick.
+      EXPECT_THROW(cs.find_max_into(codes, miss, fast_rng, got), SimulationError);
+    } else {
+      cs.find_max_into(codes, miss, fast_rng, got);
+    }
+    EXPECT_EQ(got.max_row, want.max_row) << "trial " << trial;
+    EXPECT_EQ(got.max_code, want.max_code) << "trial " << trial;
+    EXPECT_EQ(got.merged_matchlines, want.merged_matchlines) << "trial " << trial;
+    EXPECT_EQ(got.input_rows, want.input_rows) << "trial " << trial;
+    EXPECT_EQ(got.misses, want.misses) << "trial " << trial;
+    rows_with_misses += want.misses > 0 ? 1 : 0;
+  }
+  EXPECT_GT(rows_with_misses, 50);
+  // Same number of fault draws consumed: the streams are still in step.
+  EXPECT_EQ(fast_rng(), dense_rng());
+}
+
+TEST(CamSub, FindMaxIntoThrowsWhenEverySearchMisses) {
+  const auto cs = make_camsub(6);
+  const std::vector<std::int64_t> codes = {3, 17, 42};
+  Rng rng(5);
+  Rng dense_rng(5);
+  MaxFindResult res;
+  EXPECT_THROW(cs.find_max_into(codes, 1.0, rng, res), SimulationError);
+  // The reference agrees nothing matched, and both drew one sample per input.
+  EXPECT_EQ(dense_find_max(cs, codes, 1.0, dense_rng).max_row, -1);
+  EXPECT_EQ(res.misses, 3);
+  EXPECT_EQ(res.max_row, -1);
+  EXPECT_EQ(rng(), dense_rng());
 }
 
 TEST(CamSub, CostsGrowWithInputCount) {

@@ -92,28 +92,6 @@ TEST(PipelineSim, RejectsBadArguments) {
 
 // ---------- stats ----------
 
-TEST(RunningStats, MatchesDirectComputation) {
-  Rng rng(8);
-  RunningStats st;
-  std::vector<double> xs;
-  for (int i = 0; i < 5000; ++i) {
-    xs.push_back(rng.normal(3.0, 2.0));
-    st.add(xs.back());
-  }
-  EXPECT_EQ(st.count(), xs.size());
-  EXPECT_NEAR(st.mean(), mean(xs), 1e-9);
-  EXPECT_NEAR(st.stddev(), stddev(xs), 1e-9);
-  EXPECT_DOUBLE_EQ(st.min(), *std::min_element(xs.begin(), xs.end()));
-  EXPECT_DOUBLE_EQ(st.max(), *std::max_element(xs.begin(), xs.end()));
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats st;
-  EXPECT_EQ(st.count(), 0u);
-  EXPECT_DOUBLE_EQ(st.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(st.stddev(), 0.0);
-}
-
 TEST(Histogram, QuantilesOfUniform) {
   Histogram h(0.0, 1.0, 100);
   Rng rng(12);

@@ -134,6 +134,36 @@ TEST(SoftmaxEngine, RowStatsPopulatedAndConsistent) {
   EXPECT_NEAR(st.latency.as_ns(), stage_sum, 1e-6);
 }
 
+TEST(SoftmaxEngine, RowStatsAreTheCostRecordOfTheLastRowLength) {
+  SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  EXPECT_EQ(eng.row_stats().elements, 0);  // no row yet
+  Rng rng(6);
+  for (const std::size_t d : {std::size_t{1}, std::size_t{17}, std::size_t{283},
+                              std::size_t{5}}) {
+    (void)eng(in_window_row(eng.format(), d, rng));
+    const auto got = eng.row_stats();
+    const auto want = eng.compute_row_stats(static_cast<int>(d));
+    EXPECT_EQ(got.elements, want.elements);
+    EXPECT_EQ(got.latency.as_ns(), want.latency.as_ns());
+    EXPECT_EQ(got.energy.as_pJ(), want.energy.as_pJ());
+    EXPECT_EQ(got.t_maxfind.as_ns(), want.t_maxfind.as_ns());
+    EXPECT_EQ(got.t_subtract.as_ns(), want.t_subtract.as_ns());
+    EXPECT_EQ(got.t_exp.as_ns(), want.t_exp.as_ns());
+    EXPECT_EQ(got.t_sum.as_ns(), want.t_sum.as_ns());
+    EXPECT_EQ(got.t_divide.as_ns(), want.t_divide.as_ns());
+    EXPECT_EQ(got.e_maxfind.as_pJ(), want.e_maxfind.as_pJ());
+    EXPECT_EQ(got.e_subtract.as_pJ(), want.e_subtract.as_pJ());
+    EXPECT_EQ(got.e_exp.as_pJ(), want.e_exp.as_pJ());
+    EXPECT_EQ(got.e_sum.as_pJ(), want.e_sum.as_pJ());
+    EXPECT_EQ(got.e_divide.as_pJ(), want.e_divide.as_pJ());
+  }
+  // forward_codes on the member state updates it too.
+  const std::vector<std::int64_t> codes = {1, 200, 511};
+  (void)eng.forward_codes(codes);
+  EXPECT_EQ(eng.row_stats().elements, 3);
+  EXPECT_EQ(eng.row_stats().latency.as_ns(), eng.compute_row_stats(3).latency.as_ns());
+}
+
 TEST(SoftmaxEngine, CostsGrowWithRowLength) {
   const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
   EXPECT_GT(eng.row_latency(256).as_ns(), eng.row_latency(64).as_ns());

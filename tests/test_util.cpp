@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "util/csv.hpp"
@@ -12,6 +15,7 @@
 #include "util/status.hpp"
 #include "util/table.hpp"
 #include "util/units.hpp"
+#include "support/round_half_even_ref.hpp"
 
 namespace star {
 namespace {
@@ -139,6 +143,61 @@ TEST(MathUtil, RoundHalfEvenTieBreaking) {
   EXPECT_EQ(round_half_even(-0.5), 0.0);
   EXPECT_EQ(round_half_even(0.75), 1.0);
   EXPECT_EQ(round_half_even(0.25), 0.0);
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_round_matches_ref(double v) {
+  const double got = round_half_even(v);
+  const double want = testing_ref::round_half_even_ref(v);
+  EXPECT_EQ(bits_of(got), bits_of(want))
+      << "v=" << v << " (bits " << std::hex << bits_of(v) << "): got " << got
+      << ", reference " << want;
+}
+
+TEST(MathUtil, RoundHalfEvenBitIdenticalToReferenceOnEdges) {
+  const double two52 = std::ldexp(1.0, 52);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> edges = {
+      0.0, -0.0, inf, -inf, nan, -nan,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0),
+      std::nextafter(1.5, 1.0), std::nextafter(1.5, 2.0),
+      two52, two52 - 1.0, two52 + 1.0, two52 - 0.5, two52 * 2.0 - 1.0,
+      std::ldexp(1.0, 51) + 0.5, std::ldexp(1.0, 51) + 1.5,
+      std::ldexp(1.0, 63), std::numeric_limits<double>::max()};
+  for (int k = 0; k < 64; ++k) {
+    edges.push_back(k + 0.5);  // every tie up to 63.5, both parities
+  }
+  for (const double e : std::vector<double>(edges)) {
+    expect_round_matches_ref(e);
+    expect_round_matches_ref(-e);
+  }
+  // Subnormals of both signs and every magnitude scale.
+  for (int e = -1074; e <= -1022; ++e) {
+    expect_round_matches_ref(std::ldexp(1.0, e));
+    expect_round_matches_ref(-std::ldexp(1.0, e));
+  }
+}
+
+TEST(MathUtil, RoundHalfEvenBitIdenticalToReferenceOnRandomDoubles) {
+  Rng rng(0x80D1);
+  for (int i = 0; i < 1000000; ++i) {
+    // Half raw bit patterns (every exponent, NaN payloads, subnormals),
+    // half values near the quantiser range where ties and fractions live.
+    const double v = (i % 2 == 0) ? std::bit_cast<double>(rng())
+                                   : rng.uniform(-600.0, 600.0);
+    const double got = round_half_even(v);
+    const double want = testing_ref::round_half_even_ref(v);
+    if (std::isnan(want)) {
+      ASSERT_TRUE(std::isnan(got)) << "v bits " << std::hex << bits_of(v);
+      continue;
+    }
+    ASSERT_EQ(bits_of(got), bits_of(want)) << "v=" << v << " (bits " << std::hex
+                                           << bits_of(v) << ")";
+  }
 }
 
 TEST(MathUtil, MeanStdBasics) {

@@ -98,6 +98,41 @@ TEST(WorkspaceKernels, MatmulTransbIntoMatchesMaterializedTranspose) {
   expect_bits(ref, out);
 }
 
+TEST(WorkspaceKernels, MatmulTransbIntoBitIdenticalAcrossTileEdges) {
+  // The 32 (k) x 64 (j) transpose tile: rows/cols and inner sizes below,
+  // at and above each tile edge, with zeros in a for the skip branch.
+  const std::size_t outer[] = {1, 63, 64, 65, 130};
+  const std::size_t inner[] = {1, 31, 32, 33, 70};
+  Rng rng(0x7A11);
+  for (const std::size_t rows : outer) {
+    for (const std::size_t cols : outer) {
+      for (const std::size_t k : inner) {
+        auto a = nn::Tensor::randn(rows, k, rng);
+        for (std::size_t i = 0; i < rows; i += 3) {
+          a.at(i, (i * 7) % k) = 0.0;
+        }
+        // b is read through a strided column slice (stride > cols).
+        const auto b_wide = nn::Tensor::randn(cols, k + 3, rng);
+        const nn::ConstTensorView b = nn::view_of(b_wide).block_cols(2, k);
+        nn::Tensor b_t(k, cols);
+        for (std::size_t j = 0; j < cols; ++j) {
+          for (std::size_t kk = 0; kk < k; ++kk) {
+            b_t.at(kk, j) = b.at(j, kk);
+          }
+        }
+        nn::Tensor ref(rows, cols);
+        nn::matmul_into(nn::view_of(a), nn::view_of(b_t), nn::view_of(ref));
+        nn::Tensor got(rows, cols);
+        nn::matmul_transb_into(nn::view_of(a), b, nn::view_of(got));
+        ASSERT_EQ(std::memcmp(ref.flat().data(), got.flat().data(),
+                              rows * cols * sizeof(double)),
+                  0)
+            << rows << "x" << k << " * (" << cols << "x" << k << ")^T";
+      }
+    }
+  }
+}
+
 TEST(WorkspaceKernels, LayerNormIntoMatchesAndRunsInPlace) {
   Rng rng(23);
   const auto x = nn::Tensor::randn(8, 16, rng, 5.0, 3.0);
