@@ -18,6 +18,13 @@ namespace {
 /// The engine's probability output precision (divider fraction bits).
 constexpr int kProbFracBits = 15;
 
+/// The constructor's first member initialiser: every later member is
+/// sized from a configuration that has already passed validate().
+const StarConfig& validated(const StarConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+
 int exp_rows_for(const fxp::QFormat& fmt) {
   // Half the code space suffices: exponentials of larger magnitudes
   // underflow the LUT word (see file header). Matches the paper's
@@ -28,7 +35,7 @@ int exp_rows_for(const fxp::QFormat& fmt) {
 }  // namespace
 
 SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       fmt_(cfg.softmax_format),
       lut_frac_bits_(workload::default_lut_frac_bits(cfg.softmax_format)),
       prob_frac_bits_(kProbFracBits),
@@ -47,7 +54,6 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
               static_cast<double>(cfg.max_seq_len) * cfg.softmax_format.total_bits() /
                   8.0),
       out_buf_(cfg.tech, static_cast<double>(cfg.max_seq_len) * 2.0) {
-  cfg_.validate();
   // Phase sequencer + address generation for the four crossbar phases.
   control_ = hw::GateLibrary(cfg_.tech).block(3000.0);
 
@@ -70,6 +76,10 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
   // raise two lines.
   STAR_ASSERT(cam_sub_.unique_codes() && exp_cam_.unique_codes(),
               "SoftmaxEngine: CAM preloads must store pairwise distinct codes");
+  // Every exp CAM matchline drives one LUT wordline and one counter, so
+  // the datapath indexes both with the matched row unchecked.
+  STAR_ASSERT(exp_lut_.rows() == exp_cam_.rows() && counters_.rows() == exp_cam_.rows(),
+              "SoftmaxEngine: exp CAM, LUT and counters must have one row each");
 
   // Summation crossbar periphery: the VMM stores the same table as the LUT;
   // its input is the counter histogram applied bit-serially.
@@ -116,54 +126,48 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   require(!codes.empty(), "SoftmaxEngine::forward_codes: empty row");
   STAR_ASSERT(probs_out.size() == codes.size(),
               "SoftmaxEngine::forward_codes_into: output span length mismatch");
-  // Operand range, checked once per row (the min/max scan vectorizes).
-  std::int64_t lo = codes[0];
-  std::int64_t hi = codes[0];
-  for (const auto c : codes) {
-    lo = std::min(lo, c);
-    hi = std::max(hi, c);
-  }
-  require(lo >= 0 && hi < (std::int64_t{1} << fmt_.total_bits()),
-          "SoftmaxEngine::forward_codes: code out of operand range");
   SoftmaxScratch& scratch = run.scratch;
+  scratch.words.resize(codes.size());
+  const std::span<std::int64_t> words(scratch.words);
+  const double miss_prob = cfg_.cam_miss_prob;
 
-  // Stage 1: CAM/SUB — max find, then subtraction (Fig. 1). Both phases
-  // run against reused scratch (warm rows: zero allocations).
-  cam_sub_.find_max_into(codes, cfg_.cam_miss_prob, run.rng, scratch.maxfind);
-  scratch.diffs.resize(codes.size());
-  cam_sub_.subtract_into(scratch.maxfind, codes, scratch.diffs);
+  // Stage 1: CAM/SUB — max find, then subtraction (Fig. 1), fused over the
+  // row. It range-checks the operand codes once for the whole row.
+  cam_sub_.max_subtract_into(codes, miss_prob, run.rng, words);
 
   // Stage 2: exponential via CAM search + LUT read, counters accumulate the
   // match histogram (Fig. 2). The counter array is per-run state: each
   // stream clones the prototype once, so concurrent rows through a shared
   // engine never collide and the per-row cost is a reset, not an allocation.
-  if (!run.counters) {
-    run.counters.emplace(counters_);
+  if (!scratch.counters) {
+    scratch.counters.emplace(counters_);
   }
-  hw::CounterArray& counters = *run.counters;
+  hw::CounterArray& counters = *scratch.counters;
   counters.reset();
-  scratch.e_words.assign(codes.size(), 0);
-  // The exp CAM's identity preload (row r stores code r) is bijective, so
-  // each search resolves its one matchline — and its fault draw — in O(1).
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    const std::int64_t mag = -scratch.diffs[i];
-    if (mag < exp_cam_.rows()) {
-      const int row = exp_cam_.search_row(mag, cfg_.cam_miss_prob, run.rng);
+  // Magnitudes are >= 0 (stage 1 saturates at zero) and at most 2^b (a
+  // missed search), so every one below the exp CAM's row count is a valid
+  // search code. The identity preload (row r stores code r) is bijective,
+  // so each search resolves its one matchline — and its fault draw — in
+  // O(1), and the matched row indexes the LUT and the counters directly.
+  const std::int64_t exp_rows = exp_cam_.rows();
+  for (std::int64_t& w : words) {
+    const std::int64_t mag = -w;
+    std::int64_t e_word = 0;  // no matchline: the LUT bitlines stay discharged
+    if (mag < exp_rows) {
+      const int row = exp_cam_.search_row_unchecked(mag, miss_prob, run.rng);
       if (row >= 0) {
-        scratch.e_words[i] = exp_lut_.word_at(row);
-        counters.accumulate_row(row);
+        e_word = exp_lut_.word_at_unchecked(row);
+        counters.accumulate_row_unchecked(row);
       }
     }
-    // else: no matchline rises; e_word stays 0 and the counters hold.
+    w = e_word;
   }
 
   // Stage 3: summation VMM (counter histogram . stored table).
   const std::int64_t denom = summation_vmm(counters.counts());
 
   // Stage 4: division.
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    probs_out[i] = divider_.divide(scratch.e_words[i], denom, prob_frac_bits_);
-  }
+  divider_.divide_row(words, denom, prob_frac_bits_, probs_out);
 
   run.last_row_len = static_cast<int>(codes.size());
 }
@@ -220,7 +224,7 @@ std::int64_t SoftmaxEngine::summation_vmm(std::span<const std::int64_t> counts) 
   // exactly the LUT table and the counts stream in bit-serially.
   std::int64_t acc = 0;
   for (std::size_t r = 0; r < counts.size(); ++r) {
-    acc += counts[r] * exp_lut_.word_at(static_cast<int>(r));
+    acc += counts[r] * exp_lut_.word_at_unchecked(static_cast<int>(r));
   }
   return acc;
 }

@@ -55,16 +55,18 @@ struct SoftmaxRowStats {
   Energy e_maxfind{}, e_subtract{}, e_exp{}, e_sum{}, e_divide{};
 };
 
-/// Reusable per-run scratch buffers of the softmax datapath. Sized on the
-/// first row (assign/clear keep capacity), so every subsequent row of the
-/// same or smaller length allocates nothing — the arena discipline applied
-/// to the engine internals.
+/// Reusable per-run scratch of the softmax datapath. Sized on the first
+/// row (resize keeps capacity), so every subsequent row of the same or
+/// smaller length allocates nothing — the arena discipline applied to the
+/// engine internals.
 struct SoftmaxScratch {
-  std::vector<std::int64_t> codes;    ///< quantised operand row
-  std::vector<std::int64_t> diffs;    ///< x_i - x_max from the CAM/SUB
-  std::vector<std::int64_t> e_words;  ///< LUT readouts per element
-  xbar::MaxFindResult maxfind;        ///< phase-A result (vectors reused)
+  std::vector<std::int64_t> codes;  ///< quantised operand row
+  /// x_i - x_max from the CAM/SUB, overwritten in place by the LUT readouts.
+  std::vector<std::int64_t> words;
   std::vector<std::int64_t> prob_codes;  ///< probability codes (codes stays live)
+  /// Per-run counter array, cloned from the engine's prototype on first
+  /// use and reset per row (so the hot loop never allocates).
+  std::optional<hw::CounterArray> counters;
 };
 
 /// Per-run mutable state of one stream through a (shared, read-only)
@@ -77,7 +79,7 @@ struct SoftmaxRunState {
   /// Rebind this state to a new request without discarding warmed-up
   /// buffers: the RNG restarts exactly as a freshly constructed
   /// SoftmaxRunState(seed) would (bit-identical fault streams), while the
-  /// cloned counters and scratch keep their capacity — reseeding is how a
+  /// scratch (cloned counters included) keeps its capacity — reseeding is how a
   /// pooled per-worker state serves request after request allocation-free.
   void reseed(std::uint64_t seed) { rng = Rng(seed); }
 
@@ -86,9 +88,6 @@ struct SoftmaxRunState {
   /// is derived from it on demand (SoftmaxEngine::row_stats()), so the
   /// datapath itself never runs the analytic cost walk.
   int last_row_len = 0;
-  /// Per-run counter array, cloned from the engine's prototype on first
-  /// use and reset per row (so the hot loop never allocates).
-  std::optional<hw::CounterArray> counters;
   /// Datapath scratch, reused across rows and requests.
   SoftmaxScratch scratch;
 };
@@ -125,7 +124,10 @@ class SoftmaxEngine final : public nn::RowSoftmax {
   /// delegates here.
   void softmax_row_into(std::span<const double> x, SoftmaxRunState& run,
                         std::span<double> out) const;
-  /// forward_codes writing probability codes into a caller span.
+  /// forward_codes writing probability codes into a caller span. One
+  /// fused pass per hardware stage (CAM/SUB max + subtract, exp CAM/LUT +
+  /// counters, summation, divide), each checking the row once; only
+  /// run.scratch, run.rng and run.last_row_len change.
   void forward_codes_into(std::span<const std::int64_t> codes,
                           SoftmaxRunState& run,
                           std::span<std::int64_t> probs_out) const;

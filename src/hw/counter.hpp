@@ -8,6 +8,7 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/contract.hpp"
 #include "util/status.hpp"
 
 namespace star::hw {
@@ -35,11 +36,19 @@ class CounterArray {
   void accumulate(const std::vector<bool>& one_hot);
 
   /// O(1) accumulate of a known single matchline: identical saturation rule
-  /// to accumulate() with only bit `row` set. Hot-path companion for CAM
-  /// searches that resolve the matching row directly (inline: it runs once
-  /// per softmax element).
+  /// to accumulate() with only bit `row` set.
   void accumulate_row(int row) {
     require(row >= 0 && row < rows_, "CounterArray::accumulate_row: row out of range");
+    accumulate_row_unchecked(row);
+  }
+
+  /// accumulate_row for a row the caller guarantees is in range (a
+  /// matchline of a CAM with the same row count). Hot-path companion for
+  /// CAM searches that resolve the matching row directly (inline: it runs
+  /// once per softmax element).
+  void accumulate_row_unchecked(int row) {
+    STAR_CONTRACT(row >= 0 && row < rows_,
+                  "CounterArray::accumulate_row_unchecked: row out of range");
     const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
     std::int64_t& c = counts_[static_cast<std::size_t>(row)];
     if (c < sat) {

@@ -1,5 +1,7 @@
 #include "hw/divider.hpp"
 
+#include <algorithm>
+
 #include "hw/gates.hpp"
 #include "util/status.hpp"
 
@@ -15,6 +17,26 @@ Divider::Divider(const TechNode& tech, int bits, int cost_bits) : bits_(bits) {
     // Normalising front-end: leading-one detector + barrel shifters.
     cost_ = cost_.parallel_with(lib.block(ge::kLodPerBit * bits +
                                           ge::kMux2PerBit * 2.0 * bits));
+  }
+}
+
+// STAR_HOT
+void Divider::divide_row(std::span<const std::int64_t> nums, std::int64_t den,
+                         int frac_out_bits, std::span<std::int64_t> out) const {
+  require(frac_out_bits >= 0 && frac_out_bits <= 32,
+          "Divider::divide: frac_out_bits must be in [0, 32]");
+  STAR_ASSERT(out.size() == nums.size(), "Divider::divide_row: output span length mismatch");
+  std::int64_t sign_bits = den;
+  for (const std::int64_t num : nums) {
+    sign_bits |= num;
+  }
+  require(sign_bits >= 0, "Divider::divide: unsigned datapath only");
+  if (den == 0) {
+    std::fill(out.begin(), out.end(), saturated());
+    return;
+  }
+  for (std::size_t i = 0; i < nums.size(); ++i) {
+    out[i] = quotient(nums[i], den, frac_out_bits);
   }
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
@@ -26,21 +27,28 @@ class Divider {
   /// quotient as a fixed-point code with `frac_out_bits` fraction bits.
   /// den == 0 saturates to the maximum representable code (hardware
   /// behaviour of the saturating divider).
-  /// Inline: the softmax engine divides once per element.
   [[nodiscard]] std::int64_t divide(std::int64_t num, std::int64_t den,
                                     int frac_out_bits) const {
     require(frac_out_bits >= 0 && frac_out_bits <= 32,
             "Divider::divide: frac_out_bits must be in [0, 32]");
     require(num >= 0 && den >= 0, "Divider::divide: unsigned datapath only");
-    const std::int64_t sat = (std::int64_t{1} << bits_) - 1;
-    if (den == 0) {
-      return sat;
-    }
-    const std::int64_t q = (num << frac_out_bits) / den;
-    return q > sat ? sat : q;
+    return den == 0 ? saturated() : quotient(num, den, frac_out_bits);
   }
 
+  /// The divide stage over one row: out[i] = divide(nums[i], den,
+  /// frac_out_bits), with the operand checks made once for the row.
+  void divide_row(std::span<const std::int64_t> nums, std::int64_t den,
+                  int frac_out_bits, std::span<std::int64_t> out) const;
+
  private:
+  [[nodiscard]] std::int64_t saturated() const { return (std::int64_t{1} << bits_) - 1; }
+  /// The quotient rule for checked operands and den > 0.
+  [[nodiscard]] std::int64_t quotient(std::int64_t num, std::int64_t den,
+                                      int frac_out_bits) const {
+    const std::int64_t q = (num << frac_out_bits) / den;
+    return q > saturated() ? saturated() : q;
+  }
+
   int bits_;
   Cost cost_;
 };

@@ -89,6 +89,40 @@ void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   }
 }
 
+namespace {
+
+constexpr std::size_t kTileK = 32;
+constexpr std::size_t kTileJ = 64;
+
+/// Output columns [jj, jj + W) of one row against one transposed tile:
+/// the W partial sums stay in registers across the ascending-k sweep and
+/// touch the output row once each way. The zero-operand skip and the
+/// k order are matmul_into's, so every element rounds exactly as there.
+template <std::size_t W>
+void accumulate_block(const double* arow, std::size_t nk,
+                      const double (&tile)[kTileK][kTileJ], std::size_t jj,
+                      double* orow) {
+  double acc[W];
+  for (std::size_t c = 0; c < W; ++c) {
+    acc[c] = orow[jj + c];
+  }
+  for (std::size_t kk = 0; kk < nk; ++kk) {
+    const double av = arow[kk];
+    if (av == 0.0) {
+      continue;
+    }
+    const double* trow = tile[kk] + jj;
+    for (std::size_t c = 0; c < W; ++c) {
+      acc[c] += av * trow[c];
+    }
+  }
+  for (std::size_t c = 0; c < W; ++c) {
+    orow[jj + c] = acc[c];
+  }
+}
+
+}  // namespace
+
 // STAR_HOT
 void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out) {
   STAR_ASSERT(a.cols == b.cols, "matmul_transb_into: inner dimension mismatch");
@@ -101,13 +135,11 @@ void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out) {
     }
   }
   // b^T(k, j) == b(j, k). A kTileK x kTileJ block of b^T is transposed
-  // once into a stack tile and reused by every row of a, so the inner j
-  // loop reads contiguous doubles (and vectorizes) instead of striding a
-  // cache line per MAC. k-tiles run in ascending order and k ascends within
-  // a tile, so each output element accumulates over ascending k with the
-  // same zero-operand skip as matmul_into(a, transposed(b)): bit-identical.
-  constexpr std::size_t kTileK = 32;
-  constexpr std::size_t kTileJ = 64;
+  // once into a stack tile and reused by every row of a, so the row kernel
+  // reads contiguous doubles instead of striding a cache line per MAC.
+  // k-tiles run in ascending order and k ascends within a tile, so each
+  // output element accumulates over ascending k with the same zero-operand
+  // skip as matmul_into(a, transposed(b)): bit-identical.
   double tile[kTileK][kTileJ];
   for (std::size_t j0 = 0; j0 < b.rows; j0 += kTileJ) {
     const std::size_t nj = std::min(kTileJ, b.rows - j0);
@@ -122,15 +154,20 @@ void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out) {
       for (std::size_t i = 0; i < a.rows; ++i) {
         const double* arow = a.data + i * a.stride + k0;
         double* orow = out.data + i * out.stride + j0;
-        for (std::size_t kk = 0; kk < nk; ++kk) {
-          const double av = arow[kk];
-          if (av == 0.0) {
-            continue;
-          }
-          const double* trow = tile[kk];
-          for (std::size_t jj = 0; jj < nj; ++jj) {
-            orow[jj] += av * trow[jj];
-          }
+        std::size_t jj = 0;
+        for (; jj + 16 <= nj; jj += 16) {
+          accumulate_block<16>(arow, nk, tile, jj, orow);
+        }
+        if (jj + 8 <= nj) {
+          accumulate_block<8>(arow, nk, tile, jj, orow);
+          jj += 8;
+        }
+        if (jj + 4 <= nj) {
+          accumulate_block<4>(arow, nk, tile, jj, orow);
+          jj += 4;
+        }
+        for (; jj < nj; ++jj) {
+          accumulate_block<1>(arow, nk, tile, jj, orow);
         }
       }
     }

@@ -14,10 +14,11 @@ constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
 
-/// Number of bits needed to represent values 0..n-1 (ceil(log2(n)), min 1).
+/// Number of bits needed to represent values 0..n-1 (ceil(log2(n)), min 1;
+/// 64 for every n above 2^63).
 constexpr int bits_for(std::uint64_t n) {
   int bits = 1;
-  while ((1ULL << bits) < n) {
+  while (bits < 64 && (1ULL << bits) < n) {
     ++bits;
   }
   return bits;

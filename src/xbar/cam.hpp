@@ -15,6 +15,7 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/contract.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "xbar/device.hpp"
@@ -65,11 +66,22 @@ class CamCrossbar {
   /// the fault samples the dense scan would (one bernoulli iff a row
   /// matches and miss_prob > 0), so the matchline contents implied by the
   /// result are bit- and RNG-stream-identical to search_into(). Only
-  /// valid when unique_codes(). Inline: it runs once per softmax element.
+  /// valid when unique_codes().
   [[nodiscard]] int search_row(std::int64_t code, double miss_prob, Rng& rng) const {
     require(code >= 0 && code < (std::int64_t{1} << bits_),
             "CamCrossbar::search: code out of range");
     STAR_ASSERT(unique_codes_, "CamCrossbar::search_row: requires unique stored codes");
+    return search_row_unchecked(code, miss_prob, rng);
+  }
+
+  /// search_row for a code the caller has already range-checked (once per
+  /// row, not per element). Inline: it runs once per softmax element.
+  [[nodiscard]] int search_row_unchecked(std::int64_t code, double miss_prob,
+                                         Rng& rng) const {
+    STAR_CONTRACT(code >= 0 && code < (std::int64_t{1} << bits_),
+                  "CamCrossbar::search_row_unchecked: code out of range");
+    STAR_CONTRACT(unique_codes_,
+                  "CamCrossbar::search_row_unchecked: requires unique stored codes");
     const std::int32_t r = row_of_code_[static_cast<std::size_t>(code)];
     if (r < 0) {
       return -1;

@@ -4,6 +4,7 @@
 
 #include "hw/gates.hpp"
 #include "hw/sense_amp.hpp"
+#include "util/contract.hpp"
 #include "util/status.hpp"
 
 namespace star::xbar {
@@ -66,43 +67,80 @@ MaxFindResult CamSubCrossbar::find_max(std::span<const std::int64_t> codes,
   return res;
 }
 
+template <typename OnSearch>
+int CamSubCrossbar::search_all(std::span<const std::int64_t> codes, double miss_prob,
+                               Rng& rng, OnSearch&& on_search) const {
+  require(!codes.empty(), "CamSubCrossbar::find_max: empty input");
+  require(miss_prob >= 0.0 && miss_prob <= 1.0,
+          "CamSubCrossbar::find_max: miss_prob in [0, 1]");
+  // Operand range, checked once per row, so the searches below index the
+  // CAM unchecked.
+  std::int64_t lo = codes[0];
+  std::int64_t hi = codes[0];
+  for (const std::int64_t c : codes) {
+    lo = std::min(lo, c);
+    hi = std::max(hi, c);
+  }
+  require(lo >= 0 && hi < rows(), "CamSubCrossbar::find_max: code out of operand range");
+
+  // The descending preload is bijective, so each search raises at most one
+  // matchline: search_row_unchecked resolves it (and draws its one fault
+  // sample) in O(1). The OR merge sets that line; the priority encoder's
+  // first set line is the smallest matched row, tracked as the searches go
+  // (a miss, -1, compares as the largest unsigned value).
+  auto first_row = static_cast<unsigned>(rows());
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    const int row = cam_.search_row_unchecked(codes[i], miss_prob, rng);
+    STAR_CONTRACT(row >= 0 || miss_prob > 0.0,
+                  "CamSubCrossbar::find_max: every preloaded code must match");
+    on_search(i, row);
+    first_row = std::min(first_row, static_cast<unsigned>(row));
+  }
+  if (first_row == static_cast<unsigned>(rows())) {
+    throw SimulationError(
+        "CamSubCrossbar::find_max: every search missed; no matchline to encode");
+  }
+  return static_cast<int>(first_row);
+}
+
+// STAR_HOT
+void CamSubCrossbar::max_subtract_into(std::span<const std::int64_t> codes,
+                                       double miss_prob, Rng& rng,
+                                       std::span<std::int64_t> out) const {
+  STAR_ASSERT(out.size() == codes.size(),
+              "CamSubCrossbar::max_subtract_into: output span length mismatch");
+  // Phase A parks each matched row (-1 = miss) in `out`; phase B overwrites
+  // it with the SL output once the priority encoder has elected x_max.
+  const int max_row = search_all(codes, miss_prob, rng,
+                                 [&](std::size_t i, int row) { out[i] = row; });
+  // Priority encode: first set line == largest code (descending preload).
+  const std::int64_t max_code = rows() - 1 - max_row;
+  // The bijective preload stores x_i on x_i's matched row, so the row's
+  // code is the input code itself.
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    out[i] = out[i] < 0 ? missed_read() : sub_read(codes[i], max_code);
+  }
+}
+
 // STAR_HOT
 void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
                                    double miss_prob, Rng& rng,
                                    MaxFindResult& res) const {
-  require(!codes.empty(), "CamSubCrossbar::find_max: empty input");
-  require(miss_prob >= 0.0 && miss_prob <= 1.0,
-          "CamSubCrossbar::find_max: miss_prob in [0, 1]");
   res.max_row = -1;
   res.max_code = 0;
   res.misses = 0;
   res.merged_matchlines.assign(static_cast<std::size_t>(rows()), false);
   res.input_rows.resize(codes.size());
-
-  // The descending preload is bijective, so each search raises at most one
-  // matchline: search_row resolves it (and draws its one fault sample) in
-  // O(1). The OR merge sets that line; the priority encoder's first set
-  // line is the smallest matched row, tracked as the searches go.
-  int first_row = rows();
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    const int matched_row = cam_.search_row(codes[i], miss_prob, rng);
-    STAR_ASSERT(matched_row >= 0 || miss_prob > 0.0,
-                "CamSubCrossbar::find_max: every preloaded code must match");
-    res.input_rows[i] = matched_row;
-    if (matched_row >= 0) {
-      res.merged_matchlines[static_cast<std::size_t>(matched_row)] = true;
-      first_row = std::min(first_row, matched_row);
+  const int max_row = search_all(codes, miss_prob, rng, [&](std::size_t i, int row) {
+    res.input_rows[i] = row;
+    if (row >= 0) {
+      res.merged_matchlines[static_cast<std::size_t>(row)] = true;
     } else {
       ++res.misses;
     }
-  }
-  if (first_row == rows()) {
-    throw SimulationError(
-        "CamSubCrossbar::find_max: every search missed; no matchline to encode");
-  }
-  // Priority encode: first set line == largest code (descending preload).
-  res.max_row = first_row;
-  res.max_code = code_at(first_row);
+  });
+  res.max_row = max_row;
+  res.max_code = code_at(max_row);
 }
 
 std::vector<std::int64_t> CamSubCrossbar::subtract_all(
@@ -112,7 +150,6 @@ std::vector<std::int64_t> CamSubCrossbar::subtract_all(
   return out;
 }
 
-// STAR_HOT
 void CamSubCrossbar::subtract_into(const MaxFindResult& mf,
                                    std::span<const std::int64_t> codes,
                                    std::span<std::int64_t> out) const {
@@ -120,21 +157,10 @@ void CamSubCrossbar::subtract_into(const MaxFindResult& mf,
           "CamSubCrossbar::subtract_all: find_max result does not cover inputs");
   STAR_ASSERT(out.size() == codes.size(),
               "CamSubCrossbar::subtract_into: output span length mismatch");
+  // +V on the input's row, -V on the max row: SL output = x_i - x_max.
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    if (mf.input_rows[i] < 0) {
-      // Search miss: no row to drive; the SL stays discharged, which the
-      // downstream exp CAM reads as a below-range magnitude.
-      out[i] = -static_cast<std::int64_t>(rows());
-      continue;
-    }
-    // +V on the input's row, -V on the max row: SL output = x_i - x_max.
-    out[i] = code_at(mf.input_rows[i]) - mf.max_code;
-    if (mf.misses > 0) {
-      // If the true maximum's search missed, survivors can sit above the
-      // elected max; the analog subtractor saturates at zero.
-      out[i] = std::min<std::int64_t>(out[i], 0);
-    }
-    STAR_ASSERT(out[i] <= 0, "CamSubCrossbar::subtract_all: difference must be <= 0");
+    const int row = mf.input_rows[i];
+    out[i] = row < 0 ? missed_read() : sub_read(code_at(row), mf.max_code);
   }
 }
 

@@ -16,6 +16,7 @@
 // e.g. the paper's 512x18 for 9-bit operands.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -72,12 +73,22 @@ class CamSubCrossbar {
   [[nodiscard]] MaxFindResult find_max(std::span<const std::int64_t> codes,
                                        double miss_prob, Rng& rng) const;
 
+  /// Phases A and B fused over one row — the softmax engine's stage 1.
+  /// Writes x_i - x_max into `out` (codes.size(); a missed input reads
+  /// -(2^bits), see subtract_all). The row is range-checked once; the
+  /// searches draw one fault sample each (none when miss_prob == 0), in
+  /// input order, exactly as find_max() does. Throws SimulationError if
+  /// every search misses.
+  void max_subtract_into(std::span<const std::int64_t> codes, double miss_prob, Rng& rng,
+                         std::span<std::int64_t> out) const;
+
   /// Allocation-free find_max: the result's vectors are caller-owned and
   /// reused across rows (assign/resize keep capacity, so a warm row
   /// allocates nothing); find_max() delegates here. O(d): each search
   /// resolves its one matchline through the CAM's code->row index, and the
   /// priority encoder's answer (the first set merged matchline) is tracked
-  /// as the minimum matched row instead of scanning all 2^bits lines.
+  /// as the minimum matched row instead of scanning all 2^bits lines. The
+  /// searches are max_subtract_into()'s, so the two draw identical streams.
   void find_max_into(std::span<const std::int64_t> codes, double miss_prob,
                      Rng& rng, MaxFindResult& res) const;
   /// The same, for callers that still pass the per-search matchline
@@ -95,6 +106,7 @@ class CamSubCrossbar {
                                                        std::span<const std::int64_t> codes) const;
 
   /// Allocation-free subtract: writes into a caller span of codes.size().
+  /// Same per-element rule as max_subtract_into().
   void subtract_into(const MaxFindResult& mf, std::span<const std::int64_t> codes,
                      std::span<std::int64_t> out) const;
 
@@ -113,6 +125,27 @@ class CamSubCrossbar {
   [[nodiscard]] Time program_latency() const { return cam_.program_latency(); }
 
  private:
+  /// Phase A's d search cycles, shared by find_max_into and
+  /// max_subtract_into: checks the row once, searches every input in order
+  /// (the one place the CAM/SUB draws fault samples), hands each matched
+  /// row (-1 = miss) to `on_search(i, row)` and returns the priority
+  /// encoder's row (the smallest matched one). Throws SimulationError if
+  /// every search misses.
+  template <typename OnSearch>
+  int search_all(std::span<const std::int64_t> codes, double miss_prob, Rng& rng,
+                 OnSearch&& on_search) const;
+
+  /// Phase B's SL output for a matched input: x_i - x_max, saturated at
+  /// zero (a survivor can sit above an elected max whose true maximum's
+  /// search missed).
+  [[nodiscard]] static std::int64_t sub_read(std::int64_t code, std::int64_t max_code) {
+    return std::min<std::int64_t>(code - max_code, 0);
+  }
+  /// Phase B's output for a missed input: no row to drive, the SL stays
+  /// discharged, which the downstream exp CAM reads as a magnitude below
+  /// every representable one.
+  [[nodiscard]] std::int64_t missed_read() const { return -static_cast<std::int64_t>(rows()); }
+
   hw::TechNode tech_;
   int bits_;
   CamCrossbar cam_;

@@ -11,6 +11,7 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
+#include "util/contract.hpp"
 #include "util/status.hpp"
 #include "xbar/device.hpp"
 
@@ -34,10 +35,17 @@ class LutCrossbar {
   /// (0 if no line is raised — matches the discharged-bitline behaviour).
   [[nodiscard]] std::int64_t read(const std::vector<bool>& one_hot) const;
 
-  /// Direct indexed read (same cost as read()). Inline: the engine reads
-  /// one word per softmax element.
+  /// Direct indexed read (same cost as read()).
   [[nodiscard]] std::int64_t word_at(int r) const {
     require(r >= 0 && r < rows_, "LutCrossbar::word_at: row out of range");
+    return word_at_unchecked(r);
+  }
+
+  /// word_at for a row the caller guarantees is in range (a matchline of
+  /// a CAM with the same row count). Inline: the engine reads one word per
+  /// softmax element.
+  [[nodiscard]] std::int64_t word_at_unchecked(int r) const {
+    STAR_CONTRACT(r >= 0 && r < rows_, "LutCrossbar::word_at_unchecked: row out of range");
     return words_[static_cast<std::size_t>(r)];
   }
 

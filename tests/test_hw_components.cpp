@@ -1,6 +1,9 @@
 // Unit tests for the CMOS component cost library.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "hw/adc.hpp"
 #include "hw/component.hpp"
 #include "hw/counter.hpp"
@@ -200,6 +203,27 @@ TEST(Divider, NarrowCostVariantIsCheaper) {
 TEST(Divider, RejectsNegativeOperands) {
   const Divider div(kTech, 8);
   EXPECT_THROW((void)div.divide(-1, 2, 4), InvalidArgument);
+  std::vector<std::int64_t> out(2);
+  EXPECT_THROW(div.divide_row(std::vector<std::int64_t>{3, -1}, 2, 4, out),
+               InvalidArgument);
+  EXPECT_THROW(div.divide_row(std::vector<std::int64_t>{3, 1}, -2, 4, out),
+               InvalidArgument);
+}
+
+TEST(Divider, DivideRowIsDividePerElement) {
+  const Divider div(kTech, 8);
+  std::vector<std::int64_t> out(4);
+  div.divide_row(std::vector<std::int64_t>{0, 1, 3, 7}, 3, 4, out);
+  EXPECT_EQ(out, (std::vector<std::int64_t>{div.divide(0, 3, 4), div.divide(1, 3, 4),
+                                            div.divide(3, 3, 4), div.divide(7, 3, 4)}));
+  // Quotients 254, 255 (the top code), 256 and far above it.
+  div.divide_row(std::vector<std::int64_t>{254, 255, 256, 1 << 20}, 1, 0, out);
+  EXPECT_EQ(out, (std::vector<std::int64_t>{254, 255, 255, 255}));
+  div.divide_row(std::vector<std::int64_t>{509, 510, 511, 512}, 2, 0, out);
+  EXPECT_EQ(out, (std::vector<std::int64_t>{254, 255, 255, 255}));
+  // den == 0 saturates every element, zero numerators included.
+  div.divide_row(std::vector<std::int64_t>{0, 1, 7, 255}, 0, 4, out);
+  EXPECT_EQ(out, (std::vector<std::int64_t>(4, 255)));
 }
 
 // ---------- SRAM ----------

@@ -16,6 +16,13 @@
 //    consecutive L x L score blocks (rows of length L, wide enough to
 //    clamp at the window floor) through ONE SoftmaxRunState, so the fault
 //    stream spans the blocks as it spans an encoder stack.
+//  * attention — BatchEncoderSim::run_attention_one (crossbar score and
+//    context matmuls around the crossbar softmax): `num_layers` QKV
+//    triples of d_k = 16 drawn one after another from the input stream,
+//    triple l with engine seed sequence_seed(run_seed, l); the hash covers
+//    each triple's output and then its probabilities. Lengths stop at 128:
+//    the crossbar matmul model costs ~0.75 s per L = 256..384 case, and
+//    the softmax kind already pins the long rows.
 //
 // Inputs come from star::Rng (Box-Muller over libm log/cos) and the weights
 // likewise; the goldens therefore assume a glibc-class libm, as every CI
@@ -57,6 +64,7 @@ void fnv_doubles(std::uint64_t& h, std::span<const double> xs) {
 }
 
 constexpr int kSeqLens[] = {1, 2, 8, 17, 32, 64, 128, 256, 384};
+constexpr int kAttentionSeqLens[] = {1, 2, 8, 17, 32, 64, 128};
 constexpr int kLayers[] = {1, 2};
 constexpr double kMissProbs[] = {0.0, 0.02};
 constexpr std::uint64_t kRunSeeds[] = {1, 2, 3};
@@ -106,6 +114,22 @@ std::uint64_t softmax_hash(const core::SoftmaxEngine& engine, int seq_len, int l
   return h;
 }
 
+std::uint64_t attention_hash(const core::BatchEncoderSim& sim, int seq_len, int layers,
+                             std::uint64_t run_seed) {
+  Rng rng(input_seed(run_seed, seq_len));
+  std::uint64_t h = kFnvOffset;
+  for (int l = 0; l < layers; ++l) {
+    // score_std 6 puts the scaled scores across the MRPC window, so rows
+    // both clamp at the floor and keep several in-range magnitudes.
+    const auto qkv = workload::random_qkv(static_cast<std::size_t>(seq_len), 16, 6.0, rng);
+    const auto res = sim.run_attention_one(
+        qkv, workload::sequence_seed(run_seed, static_cast<std::size_t>(l)));
+    fnv_doubles(h, res.output.flat());
+    fnv_doubles(h, res.probabilities.flat());
+  }
+  return h;
+}
+
 std::map<Key, std::uint64_t> compute_all() {
   std::map<Key, std::uint64_t> got;
   for (const double miss : kMissProbs) {
@@ -119,6 +143,14 @@ std::map<Key, std::uint64_t> compute_all() {
               encoder_hash(sim, seq_len, layers, seed);
           got[{"softmax", seq_len, layers, miss_text(miss), seed}] =
               softmax_hash(sim.softmax_engine(), seq_len, layers, seed);
+        }
+      }
+    }
+    for (const int seq_len : kAttentionSeqLens) {
+      for (const int layers : kLayers) {
+        for (const std::uint64_t seed : kRunSeeds) {
+          got[{"attention", seq_len, layers, miss_text(miss), seed}] =
+              attention_hash(sim, seq_len, layers, seed);
         }
       }
     }
@@ -152,7 +184,7 @@ std::map<Key, std::uint64_t> load_golden(const std::string& path) {
 TEST(PayloadGolden, OutputBitsMatchCheckedInHashes) {
   const auto golden = load_golden(std::string(STAR_TEST_GOLDEN_DIR) + "/payload_hashes.csv");
   const auto got = compute_all();
-  ASSERT_EQ(got.size(), 2u * 9u * 2u * 2u * 3u);
+  ASSERT_EQ(got.size(), (2u * 9u + 7u) * 2u * 2u * 3u);
 
   int mismatches = 0;
   for (const auto& [key, hash] : got) {

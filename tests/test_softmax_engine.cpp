@@ -9,6 +9,7 @@
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/cmos_softmax.hpp"
@@ -20,6 +21,8 @@
 #include "util/status.hpp"
 #include "workload/accuracy_proxy.hpp"
 #include "workload/dataset_profile.hpp"
+
+#include "support/softmax_row_ref.hpp"
 
 namespace star::core {
 namespace {
@@ -296,12 +299,212 @@ TEST(SoftmaxEngine, CostSheetListsAllBlocks) {
               eng.area().as_um2() * 0.01);
 }
 
+/// The message a StarConfig-rejecting construction throws ("" if none).
+std::string construction_error(const StarConfig& cfg) {
+  try {
+    const SoftmaxEngine eng(cfg);
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(SoftmaxEngine, RejectsBadInputs) {
   SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
   EXPECT_THROW(eng(std::vector<double>{}), InvalidArgument);
   EXPECT_THROW(eng.forward_codes(std::vector<std::int64_t>{256}), InvalidArgument);
   EXPECT_THROW(eng.forward_codes(std::vector<std::int64_t>{-1}), InvalidArgument);
   EXPECT_THROW((void)eng.row_latency(0), InvalidArgument);
+
+  // The configuration is validated before any member is sized from it: a
+  // negative max_seq_len must not reach bits_for (where it would wrap to
+  // 2^64 - 5), and a 14-bit format must fail on the StarConfig rule rather
+  // than on the first crossbar that cannot hold it.
+  StarConfig negative_len;
+  negative_len.max_seq_len = -5;
+  EXPECT_NE(construction_error(negative_len).find("StarConfig: max_seq_len"),
+            std::string::npos)
+      << construction_error(negative_len);
+  const StarConfig wide = config_for(fxp::make_unsigned(10, 4));
+  EXPECT_NE(construction_error(wide).find("StarConfig: softmax format must be 4..12 bits"),
+            std::string::npos)
+      << construction_error(wide);
+}
+
+// ---------- the fused row against the staged reference datapath ----------
+
+/// Operand codes of one row: uniform over the code space, so rows mix
+/// in-range magnitudes with ones deep below the exp CAM.
+std::vector<std::int64_t> random_codes(std::size_t d, int bits, Rng& rng) {
+  std::vector<std::int64_t> codes(d);
+  for (auto& c : codes) {
+    c = rng.uniform_int(0, (std::int64_t{1} << bits) - 1);
+  }
+  return codes;
+}
+
+TEST(SoftmaxEngineFused, MatchesStagedReferenceBitForBitWithRngState) {
+  const std::size_t lengths[] = {1, 2, 3, 17, 255, 256, 257, 1024};
+  int rows_thrown = 0;
+  for (const double miss : {0.0, 0.02, 0.5, 0.95}) {
+    StarConfig cfg = config_for(fxp::kMrpcFormat);
+    cfg.cam_miss_prob = miss;
+    const SoftmaxEngine eng(cfg);
+    testing_ref::SoftmaxRowRef ref(cfg);
+    const int bits = eng.format().total_bits();
+    for (const std::size_t d : lengths) {
+      Rng inputs(0xF05E + d);
+      SoftmaxRunState run(0xA11 + d);
+      Rng ref_rng(0xA11 + d);
+      std::vector<std::int64_t> got(d);
+      // Consecutive rows through one run state: the fault stream carries
+      // over, so a draw added or lost anywhere shows in the next row.
+      for (int r = 0; r < 6; ++r) {
+        auto codes = random_codes(d, bits, inputs);
+        if (r == 1) {
+          // A row whose maximum sits far above the rest: most magnitudes
+          // fall below the exp CAM's rows.
+          codes[d / 2] = (std::int64_t{1} << bits) - 1;
+        }
+        std::vector<std::int64_t> want;
+        bool ref_threw = false;
+        try {
+          want = ref.row(codes, ref_rng);
+        } catch (const SimulationError&) {
+          ref_threw = true;
+        }
+        if (ref_threw) {
+          ++rows_thrown;
+          EXPECT_THROW(eng.forward_codes_into(codes, run, got), SimulationError)
+              << "miss " << miss << " d " << d << " row " << r;
+        } else {
+          eng.forward_codes_into(codes, run, got);
+          ASSERT_EQ(got, want) << "miss " << miss << " d " << d << " row " << r;
+        }
+        ASSERT_EQ(run.rng(), ref_rng()) << "RNG state, miss " << miss << " d " << d
+                                        << " row " << r;
+      }
+    }
+  }
+  // miss 0.95 on rows of 1-3 elements must have hit the all-missed case,
+  // whose throw comes after every search has drawn its sample.
+  EXPECT_GT(rows_thrown, 0);
+}
+
+TEST(SoftmaxEngineFused, SaturatesWhenTheDenominatorIsZero) {
+  StarConfig cfg = config_for(fxp::kMrpcFormat);
+  cfg.cam_miss_prob = 0.95;
+  const SoftmaxEngine eng(cfg);
+  testing_ref::SoftmaxRowRef ref(cfg);
+  const std::vector<std::int64_t> codes{300};
+  std::vector<std::int64_t> got(codes.size());
+  // The first seed whose CAM/SUB search senses the element and whose exp
+  // search then misses: no counter advances, so the summation reads 0.
+  for (std::uint64_t seed = 1;; ++seed) {
+    Rng ref_rng(seed);
+    std::vector<std::int64_t> want;
+    try {
+      want = ref.row(codes, ref_rng);
+    } catch (const SimulationError&) {
+      continue;
+    }
+    if (ref.last_denom() != 0) {
+      continue;
+    }
+    SoftmaxRunState run(seed);
+    eng.forward_codes_into(codes, run, got);
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(got[0], ref.saturated_code());
+    EXPECT_EQ(run.rng(), ref_rng());
+    break;
+  }
+}
+
+TEST(SoftmaxEngineFused, CountersSaturateAsTheReferenceDoes) {
+  // max_seq_len 8 gives 3-bit counters (top count 7): a row of 20 equal
+  // codes matches exp row 0 twenty times, the counter stops at 7, so the
+  // summation reads 7 * e^0 and each probability is floor(2^15 / 7).
+  for (const double miss : {0.0, 0.02}) {
+    StarConfig cfg = config_for(fxp::kMrpcFormat);
+    cfg.max_seq_len = 8;
+    cfg.cam_miss_prob = miss;
+    const SoftmaxEngine eng(cfg);
+    testing_ref::SoftmaxRowRef ref(cfg);
+    SoftmaxRunState run(5);
+    Rng ref_rng(5);
+    const std::vector<std::int64_t> equal(20, 300);
+    std::vector<std::int64_t> got(equal.size());
+    eng.forward_codes_into(equal, run, got);
+    EXPECT_EQ(got, ref.row(equal, ref_rng));
+    if (miss == 0.0) {
+      EXPECT_EQ(got, std::vector<std::int64_t>(equal.size(), (1 << 15) / 7));
+    }
+    // Rows of 40 codes from a narrow band: several exp rows saturate.
+    Rng inputs(6);
+    std::vector<std::int64_t> band(40);
+    got.resize(band.size());
+    for (int r = 0; r < 8; ++r) {
+      for (auto& c : band) {
+        c = inputs.uniform_int(296, 300);
+      }
+      eng.forward_codes_into(band, run, got);
+      ASSERT_EQ(got, ref.row(band, ref_rng)) << "miss " << miss << " row " << r;
+    }
+    EXPECT_EQ(run.rng(), ref_rng());
+  }
+}
+
+TEST(SoftmaxEngineFused, FaultFreeRowDrawsNothing) {
+  const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  Rng inputs(9);
+  const auto codes = random_codes(300, eng.format().total_bits(), inputs);
+  SoftmaxRunState run(77);
+  std::vector<std::int64_t> got(codes.size());
+  eng.forward_codes_into(codes, run, got);
+  Rng untouched(77);
+  EXPECT_EQ(run.rng(), untouched());
+}
+
+TEST(SoftmaxEngineFused, SharedConstEngineAcrossThreadsMatchesSequential) {
+  // One const engine, four threads, one SoftmaxRunState each (the serving
+  // shape): every thread's rows must equal the same rows run one thread
+  // after another. Run under TSan in CI.
+  StarConfig cfg = config_for(fxp::kMrpcFormat);
+  cfg.cam_miss_prob = 0.02;
+  const SoftmaxEngine eng(cfg);
+  constexpr int kThreads = 4;
+  constexpr int kRows = 40;
+  const auto stream = [&](int t) {
+    Rng inputs(100 + static_cast<std::uint64_t>(t));
+    SoftmaxRunState run(200 + static_cast<std::uint64_t>(t));
+    std::vector<double> row(static_cast<std::size_t>(64 + 32 * t));
+    std::vector<double> out(row.size());
+    std::vector<double> all;
+    for (int r = 0; r < kRows; ++r) {
+      for (auto& v : row) {
+        v = inputs.normal(0.0, 12.0);
+      }
+      eng.softmax_row_into(row, run, out);
+      all.insert(all.end(), out.begin(), out.end());
+    }
+    return all;
+  };
+  std::vector<std::vector<double>> sequential;
+  for (int t = 0; t < kThreads; ++t) {
+    sequential.push_back(stream(t));
+  }
+  std::vector<std::vector<double>> threaded(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] { threaded[static_cast<std::size_t>(t)] = stream(t); });
+  }
+  for (auto& th : pool) {
+    th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(threaded[static_cast<std::size_t>(t)], sequential[static_cast<std::size_t>(t)])
+        << "thread " << t;
+  }
 }
 
 TEST(SoftmaxEngine, SignedFormatRejectedByConfig) {

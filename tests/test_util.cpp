@@ -126,6 +126,11 @@ TEST(MathUtil, BitsFor) {
   EXPECT_EQ(bits_for(256), 8);
   EXPECT_EQ(bits_for(257), 9);
   EXPECT_EQ(bits_for(1024), 10);
+  // Above 2^63 no shift of 1 reaches n; the loop must stop at 64 bits
+  // (a negative int converted to uint64_t lands here).
+  EXPECT_EQ(bits_for((std::uint64_t{1} << 63) + 1), 64);
+  EXPECT_EQ(bits_for(std::numeric_limits<std::uint64_t>::max()), 64);
+  EXPECT_EQ(bits_for(std::uint64_t{1} << 63), 63);
 }
 
 TEST(MathUtil, IsPow2) {

@@ -99,17 +99,22 @@ TEST(WorkspaceKernels, MatmulTransbIntoMatchesMaterializedTranspose) {
 }
 
 TEST(WorkspaceKernels, MatmulTransbIntoBitIdenticalAcrossTileEdges) {
-  // The 32 (k) x 64 (j) transpose tile: rows/cols and inner sizes below,
-  // at and above each tile edge, with zeros in a for the skip branch.
-  const std::size_t outer[] = {1, 63, 64, 65, 130};
-  const std::size_t inner[] = {1, 31, 32, 33, 70};
+  // The 32 (k) x 64 (j) transpose tile and the row kernel's 16/8/4-column
+  // register blocks and scalar tail: output widths and inner sizes below,
+  // at and above each edge, with zeros (both signs) in a for the skip
+  // branch.
+  const std::size_t rows_list[] = {1, 2, 63, 64, 65, 130};
+  const std::size_t cols_list[] = {1,  3,  4,  5,  7,  8,  9,  12, 15, 16,
+                                   17, 20, 28, 31, 63, 64, 65, 130};
+  const std::size_t inner[] = {1, 15, 16, 17, 31, 32, 33, 70};
   Rng rng(0x7A11);
-  for (const std::size_t rows : outer) {
-    for (const std::size_t cols : outer) {
+  for (const std::size_t rows : rows_list) {
+    for (const std::size_t cols : cols_list) {
       for (const std::size_t k : inner) {
         auto a = nn::Tensor::randn(rows, k, rng);
         for (std::size_t i = 0; i < rows; i += 3) {
           a.at(i, (i * 7) % k) = 0.0;
+          a.at(i, (i * 5 + 1) % k) = -0.0;
         }
         // b is read through a strided column slice (stride > cols).
         const auto b_wide = nn::Tensor::randn(cols, k + 3, rng);
