@@ -64,10 +64,10 @@
 // model so the hit rate is exercised at 10^6-lookup scale.
 //
 // Part 9 (allocation-free functional hot path): the arena-backed
-// run_encoder_one_into serve kernel measured three ways — against the
-// allocating nn:: reference chain in-process (functional_arena_speedup),
-// as warm multi-round throughput at the serve thread count
-// (functional_rps), and under the operator-new audit where available
+// run_encoder_one_into serve kernel measured three ways — single-threaded
+// on one caller-owned workspace (bit-identity checked against Part 1's
+// reference outputs), as warm multi-round throughput at the serve thread
+// count (functional_rps), and under the operator-new audit where available
 // (allocs_per_warm_request; the zero-allocation invariant CI pins on
 // Debug/-DSTAR_AUDIT=ON cells — -1 when the build has no instrumentation).
 //
@@ -363,57 +363,32 @@ int main(int argc, char** argv) {
   table.print();
 
   // --- Part 9: allocation-free functional hot path ------------------------
-  // 9a: in-process arena-vs-legacy. The legacy side is the allocating nn::
-  // reference chain (fresh tensors, per-head dense slices) driven through
-  // SoftmaxEngineView — exactly what run_encoder_one used to execute; the
-  // arena side is run_encoder_one_into with one caller-owned workspace and
-  // a reused output tensor. Same seeds, so both sides also cross-check
-  // bit-identity against Part 1's reference outputs.
-  const auto legacy_chain = [&](std::size_t i) {
-    core::SoftmaxEngineView view(model.softmax_engine(),
-                                 workload::sequence_seed(0x5EED, i));
-    nn::Tensor x =
-        nn::encoder_layer_forward(inputs[i], model.layer_weights(0), view);
-    for (std::int64_t l = 1; l < num_layers; ++l) {
-      x = nn::encoder_layer_forward(x, model.layer_weights(l), view);
-    }
-    return x;
-  };
+  // 9a: run_encoder_one_into with one caller-owned workspace and a reused
+  // output tensor, single-threaded. Same seeds as Part 1, so every output
+  // is checked against Part 1's reference (untimed) before the timing.
   core::EncoderWorkspace hot_ws;
   nn::Tensor hot_out;
-  const auto arena_pass = [&] {
-    for (std::size_t i = 0; i < batch; ++i) {
-      model.run_encoder_one_into(inputs[i], workload::sequence_seed(0x5EED, i),
-                                 hot_out, num_layers, num_shards,
-                                 workload::Dataset::kDefault, nullptr, &hot_ws);
-    }
+  const auto run_one = [&](std::size_t i) {
+    model.run_encoder_one_into(inputs[i], workload::sequence_seed(0x5EED, i), hot_out,
+                               num_layers, num_shards, workload::Dataset::kDefault,
+                               nullptr, &hot_ws);
   };
-  // Identity first (untimed), then multi-round timing: one batch pass is
-  // milliseconds, so a single sample would be scheduler noise, and the
-  // bit_identical sweep must not be billed to the legacy side.
   bool hot_identical = true;
   for (std::size_t i = 0; i < batch; ++i) {
-    hot_identical =
-        hot_identical && nn::Tensor::bit_identical(legacy_chain(i), reference[i]);
+    run_one(i);
+    hot_identical = hot_identical && nn::Tensor::bit_identical(hot_out, reference[i]);
   }
+  all_identical = all_identical && hot_identical;
+  // One batch pass is milliseconds, so a single sample would be scheduler
+  // noise: time several rounds.
   constexpr std::size_t kCompareRounds = 16;
-  const double t_legacy = run_seconds([&] {
+  const double t_arena = run_seconds([&] {
     for (std::size_t r = 0; r < kCompareRounds; ++r) {
       for (std::size_t i = 0; i < batch; ++i) {
-        (void)legacy_chain(i);
+        run_one(i);
       }
     }
   }) / static_cast<double>(kCompareRounds);
-  arena_pass();  // warm-up: size the arena/scratch, settle residency hits
-  const double t_arena = run_seconds([&] {
-    for (std::size_t r = 0; r < kCompareRounds; ++r) {
-      arena_pass();
-    }
-  }) / static_cast<double>(kCompareRounds);
-  hot_identical =
-      hot_identical && nn::Tensor::bit_identical(hot_out, reference[batch - 1]);
-  all_identical = all_identical && hot_identical;
-  const double functional_arena_speedup = t_legacy / t_arena;
 
   // 9b: warm serve-shaped throughput — multi-round closed batches at the
   // serve thread count on the pooled (one-workspace-per-worker) path.
@@ -451,12 +426,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nFunctional hot path (arena workspaces, %lld layers):\n",
               static_cast<long long>(num_layers));
-  std::printf("  legacy chain      %.1f seq/s (allocating nn:: reference)\n",
-              static_cast<double>(batch) / t_legacy);
-  std::printf("  arena kernel      %.1f seq/s single-thread (speedup %.2fx), "
-              "bit-identical %s\n",
-              static_cast<double>(batch) / t_arena, functional_arena_speedup,
-              hot_identical ? "yes" : "NO (BUG)");
+  std::printf("  arena kernel      %.1f seq/s single-thread, bit-identical %s\n",
+              static_cast<double>(batch) / t_arena, hot_identical ? "yes" : "NO (BUG)");
   std::printf("  warm throughput   %.1f seq/s at %d threads (%zu rounds)\n",
               functional_rps, serve_threads, kHotRounds);
   if (allocs_per_warm_request >= 0.0) {
@@ -1056,7 +1027,7 @@ int main(int argc, char** argv) {
               "\"analytic_cache_speedup\":%.4f,"
               "\"cost_cache_hits\":%llu,\"cost_cache_misses\":%llu,"
               "\"cache_hit_rate\":%.6f,\"soak_cache_hit_rate\":%.6f,"
-              "\"functional_rps\":%.2f,\"functional_arena_speedup\":%.4f,"
+              "\"functional_rps\":%.2f,"
               "\"allocs_per_warm_request\":%.4f,\"alloc_audit\":%s,"
               "\"nodes_sweep\":%s,"
               "\"contracts_checked\":%s,\"sanitizer\":\"%s\","
@@ -1099,7 +1070,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(cache_stats.hits),
               static_cast<unsigned long long>(cache_stats.misses),
               cache_stats.hit_rate(), soak_cache_stats.hit_rate(),
-              functional_rps, functional_arena_speedup,
+              functional_rps,
               allocs_per_warm_request,
               util::alloc_audit_enabled() ? "true" : "false",
               nodes_sweep_json.c_str(),

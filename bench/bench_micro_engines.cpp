@@ -7,8 +7,8 @@
 #include "baseline/softermax.hpp"
 #include "core/matmul_engine.hpp"
 #include "core/softmax_engine.hpp"
-#include "nn/attention.hpp"
 #include "nn/softmax_ref.hpp"
+#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 #include "workload/dataset_profile.hpp"
 #include "xbar/cam_sub.hpp"
@@ -25,8 +25,10 @@ std::vector<double> sample_row(std::size_t n, std::uint64_t seed) {
 
 void BM_ExactSoftmax(benchmark::State& state) {
   const auto row = sample_row(static_cast<std::size_t>(state.range(0)), 1);
+  std::vector<double> out(row.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::softmax(row));
+    nn::softmax_into(row, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -35,10 +37,13 @@ BENCHMARK(BM_ExactSoftmax)->Arg(128)->Arg(512);
 void BM_StarSoftmaxEngine(benchmark::State& state) {
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine eng(cfg);
+  const core::SoftmaxEngine eng(cfg);
+  core::SoftmaxRunState run;
   const auto row = sample_row(static_cast<std::size_t>(state.range(0)), 2);
+  std::vector<double> out(row.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eng(row));
+    eng.softmax_row_into(row, run, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -47,8 +52,10 @@ BENCHMARK(BM_StarSoftmaxEngine)->Arg(128)->Arg(512);
 void BM_Softermax(benchmark::State& state) {
   baseline::SoftermaxUnit unit(hw::TechNode::n32());
   const auto row = sample_row(static_cast<std::size_t>(state.range(0)), 3);
+  std::vector<double> out(row.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit(row));
+    unit(row, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -57,8 +64,10 @@ BENCHMARK(BM_Softermax)->Arg(128)->Arg(512);
 void BM_CmosSoftmax(benchmark::State& state) {
   baseline::CmosSoftmaxUnit unit(hw::TechNode::n32());
   const auto row = sample_row(static_cast<std::size_t>(state.range(0)), 4);
+  std::vector<double> out(row.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(unit(row));
+    unit(row, out);
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -71,8 +80,10 @@ void BM_CamSubMaxFind(benchmark::State& state) {
   for (auto& c : codes) {
     c = rng.uniform_int(0, 511);
   }
+  xbar::MaxFindResult mf;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cs.find_max(codes));
+    cs.find_max_into(codes, 0.0, rng, mf);
+    benchmark::DoNotOptimize(mf);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -108,13 +119,18 @@ BENCHMARK(BM_BitSlicedVmm);
 void BM_AttentionWithStarSoftmax(benchmark::State& state) {
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine eng(cfg);
+  const core::SoftmaxEngine eng(cfg);
+  core::SoftmaxRunState run;
+  core::SoftmaxEngineRowRef softmax(eng, run);
   Rng rng(7);
-  const auto q = nn::Tensor::randn(32, 64, rng);
-  const auto k = nn::Tensor::randn(32, 64, rng);
-  const auto v = nn::Tensor::randn(32, 64, rng);
+  const auto w = nn::MhaWeights::random(1, 64, 64, rng);
+  const auto x = nn::Tensor::randn(32, 64, rng);
+  nn::Workspace ws;
+  ws.require_capacity(1 << 16);
+  nn::Tensor out(32, 64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::scaled_dot_attention(q, k, v, eng));
+    nn::multi_head_attention_into(nn::view_of(x), w, softmax, ws, nn::view_of(out));
+    benchmark::DoNotOptimize(out);
   }
 }
 BENCHMARK(BM_AttentionWithStarSoftmax);

@@ -6,18 +6,42 @@
 //   $ ./bert_attention
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "baseline/cmos_softmax.hpp"
 #include "baseline/softermax.hpp"
 #include "core/functional_attention.hpp"
 #include "core/softmax_engine.hpp"
-#include "nn/attention.hpp"
 #include "nn/softmax_ref.hpp"
+#include "nn/workspace.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "workload/dataset_profile.hpp"
 #include "workload/trace_gen.hpp"
+
+namespace {
+
+/// One attention head, softmax(Q K^T / sqrt(d_k)) V, on the nn kernels
+/// with a pluggable row softmax.
+star::nn::Tensor one_head(const star::workload::QkvTriple& qkv,
+                          star::nn::RowSoftmaxInto& softmax) {
+  using namespace star;
+  const std::size_t seq = qkv.q.rows();
+  nn::Tensor scores(seq, qkv.k.rows());
+  nn::Tensor probs(seq, qkv.k.rows());
+  nn::Tensor out(seq, qkv.v.cols());
+  nn::matmul_transb_into(nn::view_of(qkv.q), nn::view_of(qkv.k), nn::view_of(scores));
+  nn::scale_inplace(nn::view_of(scores),
+                    1.0 / std::sqrt(static_cast<double>(qkv.q.cols())));
+  for (std::size_t r = 0; r < seq; ++r) {
+    softmax(scores.row(r), probs.row(r));
+  }
+  nn::matmul_into(nn::view_of(probs), nn::view_of(qkv.v), nn::view_of(out));
+  return out;
+}
+
+}  // namespace
 
 int main() {
   using namespace star;
@@ -30,10 +54,12 @@ int main() {
 
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine star_engine(cfg);
+  const core::SoftmaxEngine star_engine(cfg);
+  core::SoftmaxRunState star_run;
+  core::SoftmaxEngineRowRef star_softmax(star_engine, star_run);
   baseline::SoftermaxUnit softermax(hw::TechNode::n32());
   baseline::CmosSoftmaxUnit cmos(hw::TechNode::n32());
-  nn::ExactSoftmax exact;
+  nn::ExactSoftmaxInto exact;
 
   std::printf("Attention output fidelity vs exact softmax "
               "(one head, L=%zu, d_k=%zu)\n\n", kSeqLen, kDHead);
@@ -41,11 +67,11 @@ int main() {
   TablePrinter table({"softmax impl", "max |err|", "rms err", "cosine sim"});
 
   const auto qkv = workload::random_qkv(kSeqLen, kDHead, 2.0, rng);
-  const auto ref = nn::scaled_dot_attention(qkv.q, qkv.k, qkv.v, exact);
+  const auto ref = one_head(qkv, exact);
 
-  for (nn::RowSoftmax* impl : std::initializer_list<nn::RowSoftmax*>{
-           &star_engine, &softermax, &cmos}) {
-    const auto out = nn::scaled_dot_attention(qkv.q, qkv.k, qkv.v, *impl);
+  for (nn::RowSoftmaxInto* impl : std::initializer_list<nn::RowSoftmaxInto*>{
+           &star_softmax, &softermax, &cmos}) {
+    const auto out = one_head(qkv, *impl);
     table.add_row({impl->name(),
                    TablePrinter::num(nn::Tensor::max_abs_diff(ref, out), 5),
                    TablePrinter::num(rms_diff(ref.flat(), out.flat()), 5),
@@ -62,15 +88,18 @@ int main() {
         fxp::make_unsigned(profile.expected_int_bits, profile.expected_frac_bits);
     core::StarConfig ds_cfg;
     ds_cfg.softmax_format = fmt;
-    core::SoftmaxEngine engine(ds_cfg);
+    const core::SoftmaxEngine engine(ds_cfg);
+    core::SoftmaxRunState run;
 
     const int rows = 200;
     int agree = 0;
     double err_acc = 0.0;
+    std::vector<double> p_exact(64);
+    std::vector<double> p_star(64);
     for (int r = 0; r < rows; ++r) {
       const auto row = profile.sample_row(64, rng);
-      const auto p_exact = nn::softmax(row);
-      const auto p_star = engine(row);
+      nn::softmax_into(row, p_exact);
+      engine.softmax_row_into(row, run, p_star);
       agree += (argmax(p_exact) == argmax(p_star)) ? 1 : 0;
       err_acc += max_abs_diff(p_exact, p_star);
     }
@@ -87,7 +116,10 @@ int main() {
   // the hardware models (5-bit ADC crossbar matmuls + crossbar softmax).
   std::printf("\nEnd-to-end on-crossbar attention (matmuls + softmax on the "
               "engines):\n");
-  const auto hw_res = core::attention_on_star(qkv.q, qkv.k, qkv.v, cfg);
+  const core::MatmulEngine matmul(cfg);
+  core::SoftmaxRunState hw_run;
+  const auto hw_res =
+      core::attention_on_star(qkv.q, qkv.k, qkv.v, matmul, star_engine, hw_run);
   std::printf("  vs exact: max|err| %.5f, rms %.5f, cosine %.6f\n",
               nn::Tensor::max_abs_diff(ref, hw_res.output),
               rms_diff(ref.flat(), hw_res.output.flat()),

@@ -2,6 +2,7 @@
 // datapath, and compare against the exact softmax.
 //
 //   $ ./quickstart
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -28,9 +29,14 @@ int main() {
   // 2. A row of attention scores (anything in the +/-32 window of Q6.3).
   const std::vector<double> scores{2.1, -0.4, 1.9, -3.0, 0.0, -7.5, 2.2, -1.1};
 
-  // 3. Run it through the crossbar datapath and the exact reference.
-  const auto p_star = engine(scores);
-  const auto p_exact = nn::softmax(scores);
+  // 3. Run it through the crossbar datapath and the exact reference. The
+  //    engine is const shared hardware; the fault-RNG stream and datapath
+  //    scratch of this run live in a caller-owned SoftmaxRunState.
+  core::SoftmaxRunState run;
+  std::vector<double> p_star(scores.size());
+  std::vector<double> p_exact(scores.size());
+  engine.softmax_row_into(scores, run, p_star);
+  nn::softmax_into(scores, p_exact);
 
   std::printf("%8s %12s %12s %12s\n", "score", "exact", "STAR", "abs err");
   for (std::size_t i = 0; i < scores.size(); ++i) {
@@ -39,7 +45,7 @@ int main() {
   }
 
   // 4. What did that row cost on the engine?
-  const auto& stats = engine.row_stats();
+  const auto stats = engine.compute_row_stats(static_cast<int>(scores.size()));
   std::printf("\nper-row hardware cost (%d elements):\n", stats.elements);
   std::printf("  latency: %s   energy: %s\n", to_string(stats.latency).c_str(),
               to_string(stats.energy).c_str());

@@ -38,15 +38,19 @@ int main() {
               static_cast<long long>(cam_sub.code_at(0)), cam_sub.rows() - 1,
               static_cast<long long>(cam_sub.code_at(cam_sub.rows() - 1)));
 
-  // (2)-(3): per-input CAM searches, OR-merged.
-  const auto mf = cam_sub.find_max(xs);
+  // (2)-(3): per-input CAM searches, OR-merged. Fault injection is off, so
+  // the fault stream draws nothing.
+  Rng rng(0xCA5B);
+  xbar::MaxFindResult mf;
+  cam_sub.find_max_into(xs, 0.0, rng, mf);
   std::printf("step 2-3: merged matchline vector ");
   print_matchlines(mf.merged_matchlines, cam_sub.rows());
   std::printf("\nstep 3: first '1' at row %d -> x_max = %lld\n", mf.max_row,
               static_cast<long long>(mf.max_code));
 
   // (4)-(5): subtraction phase.
-  const auto diffs = cam_sub.subtract_all(mf, xs);
+  std::vector<std::int64_t> diffs(xs.size());
+  cam_sub.subtract_into(mf, xs, diffs);
   std::printf("step 4-5: x_i - x_max = [");
   for (std::size_t i = 0; i < diffs.size(); ++i) {
     std::printf("%s%lld", i ? ", " : "", static_cast<long long>(diffs[i]));
@@ -69,7 +73,9 @@ int main() {
 
   const std::vector<std::int64_t> codes{6, 2, 0, 2};
   std::printf("\ninputs (codes) = [6, 2, 0, 2]\n");
-  const auto probs = engine.forward_codes(codes);
+  core::SoftmaxRunState run;
+  std::vector<std::int64_t> probs(codes.size());
+  engine.forward_codes_into(codes, run, probs);
   std::printf("engine outputs (probability codes / 2^%d):\n", engine.prob_frac_bits());
   double sum = 0.0;
   for (std::size_t i = 0; i < probs.size(); ++i) {

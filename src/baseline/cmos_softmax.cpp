@@ -25,30 +25,29 @@ CmosSoftmaxUnit::CmosSoftmaxUnit(const hw::TechNode& tech, CmosSoftmaxConfig cfg
   regs_ = lib.reg(cfg.operand_bits);
 }
 
-std::vector<double> CmosSoftmaxUnit::operator()(std::span<const double> x) {
+void CmosSoftmaxUnit::operator()(std::span<const double> x, std::span<double> out) {
   require(!x.empty(), "CmosSoftmaxUnit: empty row");
+  STAR_ASSERT(out.size() == x.size(), "CmosSoftmaxUnit: output span length mismatch");
   // Fixed-point input grid: operand_bits with half the bits fraction.
   const int frac = cfg_.operand_bits / 2;
   const double in_step = std::ldexp(1.0, -frac);
   const double out_step = std::ldexp(1.0, -cfg_.output_bits);
 
+  // The three passes share `out`: quantised inputs, then exponentials,
+  // then probabilities, each element read before it is overwritten.
   double x_max = -1e300;
-  std::vector<double> q(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    q[i] = round_half_even(x[i] / in_step) * in_step;
-    x_max = std::max(x_max, q[i]);
+    out[i] = round_half_even(x[i] / in_step) * in_step;
+    x_max = std::max(x_max, out[i]);
   }
   double denom = 0.0;
-  std::vector<double> e(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    e[i] = std::exp(q[i] - x_max);
-    denom += e[i];
+    out[i] = std::exp(out[i] - x_max);
+    denom += out[i];
   }
-  std::vector<double> p(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    p[i] = round_half_even(e[i] / denom / out_step) * out_step;
+    out[i] = round_half_even(out[i] / denom / out_step) * out_step;
   }
-  return p;
 }
 
 Area CmosSoftmaxUnit::area() const {

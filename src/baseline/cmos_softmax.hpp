@@ -12,7 +12,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
@@ -31,15 +30,16 @@ struct CmosSoftmaxConfig {
 /// wide softmax array next to every head's crossbars).
 constexpr CmosSoftmaxConfig compact_cmos_softmax() { return {1, 24, 16}; }
 
-class CmosSoftmaxUnit final : public nn::RowSoftmax {
+class CmosSoftmaxUnit final : public nn::RowSoftmaxInto {
  public:
   CmosSoftmaxUnit(const hw::TechNode& tech, CmosSoftmaxConfig cfg = {});
 
   // --- functional ---
   /// Bit-faithful at the IO boundaries: inputs quantised to operand_bits
   /// fixed point, exponentials exact (the wide datapath's error is below
-  /// the output quantisation), outputs quantised to output_bits.
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override;
+  /// the output quantisation), outputs quantised to output_bits. Writes a
+  /// caller span of x.size().
+  void operator()(std::span<const double> x, std::span<double> out) override;
   [[nodiscard]] const char* name() const override { return "cmos-baseline"; }
 
   // --- cost ---

@@ -47,12 +47,13 @@ double SoftermaxUnit::pow2_quant(double frac_exponent) const {
   return round_half_even(std::pow(2.0, frac_exponent) * scale) / scale;
 }
 
-std::vector<double> SoftermaxUnit::operator()(std::span<const double> x) {
+void SoftermaxUnit::operator()(std::span<const double> x, std::span<double> out) {
   require(!x.empty(), "SoftermaxUnit: empty row");
+  STAR_ASSERT(out.size() == x.size(), "SoftermaxUnit: output span length mismatch");
   // Inputs scaled to base 2 and quantised to a 2-fraction-bit grid
-  // (Softermax's low-precision input path).
+  // (Softermax's low-precision input path); `xp` holds them in `out`.
   const double in_step = 0.25;
-  std::vector<double> xp(x.size());
+  const std::span<double> xp = out;
   for (std::size_t i = 0; i < x.size(); ++i) {
     xp[i] = round_half_even(x[i] * kLog2E / in_step) * in_step;
   }
@@ -60,7 +61,6 @@ std::vector<double> SoftermaxUnit::operator()(std::span<const double> x) {
   // Online pass: integer running max, rescaled running sum.
   double m = std::ceil(xp[0]);
   double s = 0.0;
-  std::vector<double> e(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double m_new = std::max(m, std::ceil(xp[i]));
     if (m_new != m) {
@@ -74,16 +74,15 @@ std::vector<double> SoftermaxUnit::operator()(std::span<const double> x) {
         (d_frac == 0.0)
             ? std::ldexp(1.0, static_cast<int>(d_int))
             : std::ldexp(pow2_quant(d_frac - 1.0), static_cast<int>(d_int) + 1);
-    e[i] = word;
     s += word;
   }
 
   // Final rescale pass: every stored exponent is already relative to the
-  // final max (hardware re-reads the e_i registers).
+  // final max (hardware re-reads the e_i registers). Each element's
+  // quantised input is read before its probability overwrites it.
   const double out_step = std::ldexp(1.0, -cfg_.output_bits);
-  std::vector<double> p(x.size());
   for (std::size_t i = 0; i < x.size(); ++i) {
-    // e[i] was computed against the max at visit time; rebase to the final max.
+    // The online pass used the max at visit time; rebase to the final max.
     const double d = xp[i] - m;
     const double d_int = std::floor(d);
     const double d_frac = d - d_int;
@@ -91,9 +90,8 @@ std::vector<double> SoftermaxUnit::operator()(std::span<const double> x) {
         (d_frac == 0.0)
             ? std::ldexp(1.0, static_cast<int>(d_int))
             : std::ldexp(pow2_quant(d_frac - 1.0), static_cast<int>(d_int) + 1);
-    p[i] = round_half_even(word / s / out_step) * out_step;
+    out[i] = round_half_even(word / s / out_step) * out_step;
   }
-  return p;
 }
 
 std::vector<double> SoftermaxUnit::offline(std::span<const double> x) const {

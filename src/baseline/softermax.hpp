@@ -26,15 +26,16 @@ struct SoftermaxConfig {
   int output_bits = 8;    ///< normalised output width
 };
 
-class SoftermaxUnit final : public nn::RowSoftmax {
+class SoftermaxUnit final : public nn::RowSoftmaxInto {
  public:
   SoftermaxUnit(const hw::TechNode& tech, SoftermaxConfig cfg = {});
 
   // --- functional ---
   /// Online base-2 softmax: p_i = 2^(x_i' - m) / sum_j 2^(x_j' - m) with
   /// x' = x * log2(e) quantised, computed in one streaming pass exactly as
-  /// the hardware would (running max + rescaled running sum).
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override;
+  /// the hardware would (running max + rescaled running sum), written into
+  /// a caller span of x.size().
+  void operator()(std::span<const double> x, std::span<double> out) override;
   [[nodiscard]] const char* name() const override { return "softermax"; }
 
   /// Offline (two-pass) reference of the same arithmetic; the online pass

@@ -188,9 +188,7 @@ void BatchEncoderSim::run_encoder_one_into(const nn::Tensor& input,
   const nn::TensorView out_view = nn::view_of(out);
 
   // Ping-pong chain: intermediate layers bounce between two arena buffers;
-  // the final layer writes straight into the caller's tensor. Layer order
-  // and per-layer operations are exactly the legacy chain's, so the bits
-  // match run_encoder_one's reference path for every depth.
+  // the final layer writes straight into the caller's tensor.
   const nn::TensorView ping = ws->arena.alloc_view(seq, d_model);
   const nn::TensorView pong = ws->arena.alloc_view(seq, d_model);
   for (std::int64_t l = 0; l < num_layers; ++l) {

@@ -32,8 +32,9 @@
 // before it is read (the fused kernels zero-fill or assign first), and
 // SoftmaxRunState::reseed() restarts the fault stream exactly as a fresh
 // state would. Which worker's workspace serves a request therefore never
-// reaches the output bits — tests/test_workspace.cpp pins arena-vs-legacy
-// bit-identity across thread counts, fault streams and reuse patterns.
+// reaches the output bits — tests/test_workspace.cpp pins the output
+// against the plain-loop reference (tests/support/encoder_ref.hpp) across
+// thread counts, fault streams and reuse patterns.
 #pragma once
 
 #include <array>
@@ -153,7 +154,7 @@ class BatchEncoderSim {
   // what serve::StarServer dispatches, and what the closed-batch shims
   // below map over.
 
-  /// Functional path: `num_layers` chained encoder_layer_forward passes
+  /// Functional path: `num_layers` chained encoder_layer_forward_into passes
   /// (layer l uses layer_weights(l)) with the STAR crossbar softmax.
   /// `engine_seed` seeds the fault-RNG stream (relevant only when
   /// cfg.cam_miss_prob > 0); ONE stream spans the whole chain, so layer

@@ -17,24 +17,14 @@ struct FunctionalAttentionResult {
 };
 
 /// softmax(Q K^T / sqrt(d_k)) V with every stage on the hardware models.
-/// q: (L_q x d_k), k: (L_k x d_k), v: (L_k x d_v).
-FunctionalAttentionResult attention_on_star(const nn::Tensor& q, const nn::Tensor& k,
-                                            const nn::Tensor& v, MatmulEngine& matmul,
-                                            SoftmaxEngine& softmax_engine);
-
-/// Thread-safe variant: the engines are shared read-only hardware models;
-/// every per-run mutation lands in the caller's `run` state. Many sequences
-/// may run concurrently against the same two engines, one SoftmaxRunState
-/// each.
+/// q: (L_q x d_k), k: (L_k x d_k), v: (L_k x d_v). The engines are shared
+/// read-only hardware models; every per-run mutation lands in the caller's
+/// `run` state, so many sequences may run concurrently against the same
+/// two engines, one SoftmaxRunState each.
 FunctionalAttentionResult attention_on_star(const nn::Tensor& q, const nn::Tensor& k,
                                             const nn::Tensor& v,
                                             const MatmulEngine& matmul,
                                             const SoftmaxEngine& softmax_engine,
                                             SoftmaxRunState& run);
-
-/// Convenience wrapper building both engines from one config.
-FunctionalAttentionResult attention_on_star(const nn::Tensor& q, const nn::Tensor& k,
-                                            const nn::Tensor& v,
-                                            const StarConfig& cfg);
 
 }  // namespace star::core

@@ -107,18 +107,6 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
   sum_op_cost_.leakage = sum_leakage_;
 }
 
-std::vector<std::int64_t> SoftmaxEngine::forward_codes(
-    std::span<const std::int64_t> codes) {
-  return forward_codes(codes, run_);
-}
-
-std::vector<std::int64_t> SoftmaxEngine::forward_codes(
-    std::span<const std::int64_t> codes, SoftmaxRunState& run) const {
-  std::vector<std::int64_t> probs(codes.size());
-  forward_codes_into(codes, run, probs);
-  return probs;
-}
-
 // STAR_HOT
 void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
                                        SoftmaxRunState& run,
@@ -168,19 +156,6 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
 
   // Stage 4: division.
   divider_.divide_row(words, denom, prob_frac_bits_, probs_out);
-
-  run.last_row_len = static_cast<int>(codes.size());
-}
-
-std::vector<double> SoftmaxEngine::operator()(std::span<const double> x) {
-  return softmax_row(x, run_);
-}
-
-std::vector<double> SoftmaxEngine::softmax_row(std::span<const double> x,
-                                               SoftmaxRunState& run) const {
-  std::vector<double> p(x.size());
-  softmax_row_into(x, run, p);
-  return p;
 }
 
 // STAR_HOT
@@ -193,22 +168,30 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
   SoftmaxScratch& scratch = run.scratch;
 
   // Input conditioning: scores arrive as biased-signed fixed point —
-  // code = round(x / res) + 2^(b-1), clamped into the window. Values below
-  // the window floor are exactly the ones whose exponential underflows.
-  // res is 2^-frac_bits, so x * 2^frac_bits is exactly x / res (both are
-  // the correctly rounded value of the same real) without a divide.
+  // code = round(x / res) + 2^(b-1), clamped into the window [0, 2^b - 1].
+  // Values below the window floor are exactly the ones whose exponential
+  // underflows. res is 2^-frac_bits, so x * 2^frac_bits is exactly x / res
+  // (both are the correctly rounded value of the same real) without a
+  // divide. The clamp runs on the double, before the integer conversion,
+  // so +-inf and scores beyond the int64 range saturate like any other
+  // out-of-window score.
   const double inv_res = std::ldexp(1.0, fmt_.frac_bits);
   const std::int64_t bias = std::int64_t{1} << (fmt_.total_bits() - 1);
-  const std::int64_t top = (std::int64_t{1} << fmt_.total_bits()) - 1;
+  const double lo = -static_cast<double>(bias);
+  const double hi = static_cast<double>(bias - 1);
   scratch.codes.resize(x.size());
+  bool nan = false;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto c = static_cast<std::int64_t>(round_half_even(x[i] * inv_res)) + bias;
-    scratch.codes[i] = std::clamp<std::int64_t>(c, 0, top);
+    const double v = round_half_even(x[i] * inv_res);
+    nan |= std::isnan(v);
+    // A NaN fails both comparisons and lands on the floor; the row then
+    // throws below, so no NaN code ever reaches the datapath.
+    const double c = v > lo ? std::min(v, hi) : lo;
+    scratch.codes[i] = static_cast<std::int64_t>(c) + bias;
   }
+  require(!nan, "SoftmaxEngine: NaN score in row");
 
-  // Probability codes land in the output span, then scale in place: the
-  // per-element operations (and the fault-RNG draws inside) are exactly
-  // the legacy softmax_row sequence, so both paths are bit-identical.
+  // Probability codes land in scratch, then scale into the output span.
   scratch.prob_codes.resize(x.size());
   forward_codes_into(scratch.codes, run, scratch.prob_codes);
   const double inv = std::ldexp(1.0, -prob_frac_bits_);
@@ -227,11 +210,6 @@ std::int64_t SoftmaxEngine::summation_vmm(std::span<const std::int64_t> counts) 
     acc += counts[r] * exp_lut_.word_at_unchecked(static_cast<int>(r));
   }
   return acc;
-}
-
-SoftmaxRowStats SoftmaxEngine::row_stats() const {
-  return run_.last_row_len > 0 ? compute_row_stats(run_.last_row_len)
-                               : SoftmaxRowStats{};
 }
 
 SoftmaxRowStats SoftmaxEngine::compute_row_stats(int d) const {

@@ -18,16 +18,19 @@
 // The engine is bit-exact (under an ideal device) with the pure-math oracle
 // workload::quantized_softmax; tests enforce the equivalence.
 //
-// Determinism: the engine is shared read-only geometry; every per-run
-// mutable fact (the fault-injection stream, the last-row cost record)
-// lives in a caller-owned SoftmaxRunState whose Rng is explicitly seeded.
-// The const softmax_row()/forward_codes() datapath therefore makes
-// (seed, code-path) reproduce every probability code bit-for-bit no matter
-// how many threads share the engine.
+// One datapath, one entry point per level: softmax_row_into (real scores)
+// conditions the row into operand codes and runs forward_codes_into (the
+// hardware stages). Costs are pure functions of the row length
+// (compute_row_stats).
+//
+// Determinism: both entry points are const. The engine is shared read-only
+// geometry; every per-run mutable fact (the fault-injection stream, the
+// datapath scratch) lives in a caller-owned SoftmaxRunState whose Rng is
+// explicitly seeded, so (seed, row sequence) reproduces every probability
+// code bit for bit no matter how many threads share the engine.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -70,7 +73,7 @@ struct SoftmaxScratch {
 };
 
 /// Per-run mutable state of one stream through a (shared, read-only)
-/// SoftmaxEngine: the fault-injection RNG stream and the last row's length.
+/// SoftmaxEngine: the fault-injection RNG stream and the datapath scratch.
 /// Each concurrent sequence owns one; the engine itself is never mutated on
 /// the const datapath.
 struct SoftmaxRunState {
@@ -84,50 +87,28 @@ struct SoftmaxRunState {
   void reseed(std::uint64_t seed) { rng = Rng(seed); }
 
   Rng rng;
-  /// Length of the last processed row (0: none yet). The row's cost record
-  /// is derived from it on demand (SoftmaxEngine::row_stats()), so the
-  /// datapath itself never runs the analytic cost walk.
-  int last_row_len = 0;
   /// Datapath scratch, reused across rows and requests.
   SoftmaxScratch scratch;
 };
 
-class SoftmaxEngine final : public nn::RowSoftmax {
+class SoftmaxEngine final {
  public:
   explicit SoftmaxEngine(const StarConfig& cfg);
 
-  // --- functional interface (nn::RowSoftmax) ---
-  /// Softmax of a real-valued row, computed through the full quantised
-  /// crossbar datapath. row_stats() then describes this row.
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override;
-  [[nodiscard]] const char* name() const override { return "star-crossbar"; }
-
-  /// Datapath on pre-quantised magnitudes is exposed for white-box tests:
-  /// given operand codes (unsigned, < 2^b), returns probability codes with
-  /// `prob_frac_bits()` fraction bits.
-  [[nodiscard]] std::vector<std::int64_t> forward_codes(
-      std::span<const std::int64_t> codes);
-
-  // --- thread-safe const datapath (shared engine, per-run state) ---
-  /// Same as operator(), but against `*this` as shared read-only hardware:
-  /// all mutation (fault RNG draws, row stats) lands in `run`. Safe to call
-  /// concurrently from many threads, one SoftmaxRunState per thread.
-  [[nodiscard]] std::vector<double> softmax_row(std::span<const double> x,
-                                                SoftmaxRunState& run) const;
-  [[nodiscard]] std::vector<std::int64_t> forward_codes(
-      std::span<const std::int64_t> codes, SoftmaxRunState& run) const;
-
-  // --- allocation-free datapath (the arena-backed hot path) ---
-  /// softmax_row writing into a caller span of x.size(); every
-  /// intermediate lives in run.scratch (warm rows allocate nothing).
-  /// Identical operation and fault-draw order to softmax_row(), which
-  /// delegates here.
+  /// Softmax of a real-valued row through the full quantised crossbar
+  /// datapath, written into a caller span of x.size(). Scores are
+  /// conditioned into operand codes (saturating at the window's ends, so
+  /// +-inf and huge scores read as the extreme codes); a NaN score throws
+  /// InvalidArgument. Every intermediate lives in run.scratch (warm rows
+  /// allocate nothing); only `run` changes, so many threads may share the
+  /// engine, one SoftmaxRunState each.
   void softmax_row_into(std::span<const double> x, SoftmaxRunState& run,
                         std::span<double> out) const;
-  /// forward_codes writing probability codes into a caller span. One
-  /// fused pass per hardware stage (CAM/SUB max + subtract, exp CAM/LUT +
-  /// counters, summation, divide), each checking the row once; only
-  /// run.scratch, run.rng and run.last_row_len change.
+  /// The hardware stages on pre-quantised operand codes (unsigned, < 2^b),
+  /// writing probability codes with `prob_frac_bits()` fraction bits into a
+  /// caller span. One fused pass per hardware stage (CAM/SUB max +
+  /// subtract, exp CAM/LUT + counters, summation, divide), each checking
+  /// the row once; only run.scratch and run.rng change.
   void forward_codes_into(std::span<const std::int64_t> codes,
                           SoftmaxRunState& run,
                           std::span<std::int64_t> probs_out) const;
@@ -145,10 +126,6 @@ class SoftmaxEngine final : public nn::RowSoftmax {
   [[nodiscard]] Power active_power(int d) const;
   [[nodiscard]] Time row_latency(int d) const;
   [[nodiscard]] Energy row_energy(int d) const;
-  /// Cost record of the last row through the member-state entry points
-  /// (operator(), forward_codes(codes)): compute_row_stats(its length),
-  /// computed when asked. All zero before the first row.
-  [[nodiscard]] SoftmaxRowStats row_stats() const;
   /// Full cost record of one row of length d (pure; thread-safe).
   [[nodiscard]] SoftmaxRowStats compute_row_stats(int d) const;
   /// One-time table preload cost (CAM/SUB codes, exp table, sum table).
@@ -189,37 +166,12 @@ class SoftmaxEngine final : public nn::RowSoftmax {
   hw::Sram in_buf_;
   hw::Sram out_buf_;
   hw::Cost control_;
-
-  // Legacy single-stream state backing the non-const entry points; the
-  // const datapath never touches it.
-  SoftmaxRunState run_;
 };
 
-/// RowSoftmax adapter binding a shared const SoftmaxEngine to a private
-/// SoftmaxRunState. Each concurrent sequence constructs one (with its own
-/// seed) and hands it to the functional attention/encoder code.
-class SoftmaxEngineView final : public nn::RowSoftmax {
- public:
-  SoftmaxEngineView(const SoftmaxEngine& engine, std::uint64_t seed)
-      : engine_(&engine), run_(seed) {}
-
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override {
-    return engine_->softmax_row(x, run_);
-  }
-  [[nodiscard]] const char* name() const override { return "star-crossbar-view"; }
-  [[nodiscard]] const SoftmaxRunState& run_state() const { return run_; }
-  [[nodiscard]] SoftmaxRunState& run_state() { return run_; }
-
- private:
-  const SoftmaxEngine* engine_;
-  SoftmaxRunState run_;
-};
-
-/// Span-writing adapter binding a shared const SoftmaxEngine to a
-/// BORROWED per-run state (unlike SoftmaxEngineView, which owns its state
-/// by value and therefore clones the counter array per construction).
-/// The arena-backed encoder path constructs one of these per request over
-/// a pooled, reseeded SoftmaxRunState — construction is free.
+/// nn::RowSoftmaxInto adapter binding a shared const SoftmaxEngine to a
+/// borrowed per-run state, so the attention and encoder kernels run on the
+/// engine. The encoder path constructs one per request over a pooled,
+/// reseeded SoftmaxRunState — construction is free.
 class SoftmaxEngineRowRef final : public nn::RowSoftmaxInto {
  public:
   SoftmaxEngineRowRef(const SoftmaxEngine& engine, SoftmaxRunState& run)
@@ -228,7 +180,7 @@ class SoftmaxEngineRowRef final : public nn::RowSoftmaxInto {
   void operator()(std::span<const double> x, std::span<double> out) override {
     engine_->softmax_row_into(x, *run_, out);
   }
-  [[nodiscard]] const char* name() const override { return "star-crossbar-ref"; }
+  [[nodiscard]] const char* name() const override { return "star-crossbar"; }
 
  private:
   const SoftmaxEngine* engine_;

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "nn/ops.hpp"
 #include "util/status.hpp"
 
 namespace star::nn {
@@ -32,14 +31,6 @@ EncoderLayerWeights EncoderLayerWeights::random(const BertConfig& cfg, Rng& rng)
                     static_cast<std::size_t>(cfg.d_model), rng, 0.0,
                     1.0 / std::sqrt(static_cast<double>(cfg.d_ff)))};
   return w;
-}
-
-Tensor encoder_layer_forward(const Tensor& x, const EncoderLayerWeights& w,
-                             RowSoftmax& softmax_impl) {
-  const Tensor attn = multi_head_attention(x, w.mha, softmax_impl);
-  const Tensor y = layer_norm(x + attn);
-  const Tensor ff = gelu(y.matmul(w.w_ff1)).matmul(w.w_ff2);
-  return layer_norm(y + ff);
 }
 
 }  // namespace star::nn

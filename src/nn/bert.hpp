@@ -27,7 +27,9 @@ struct BertConfig {
   void validate() const;
 };
 
-/// Weights of one encoder layer (attention + FFN).
+/// Weights of one encoder layer (attention + FFN). The layer itself,
+/// y = LN(x + MHA(x)); out = LN(y + FF2(gelu(FF1(y)))), runs through
+/// nn::encoder_layer_forward_into (nn/workspace.hpp).
 struct EncoderLayerWeights {
   MhaWeights mha;
   Tensor w_ff1;  ///< (d_model x d_ff)
@@ -35,10 +37,5 @@ struct EncoderLayerWeights {
 
   static EncoderLayerWeights random(const BertConfig& cfg, Rng& rng);
 };
-
-/// One full encoder layer forward pass:
-/// y = LN(x + MHA(x)); out = LN(y + FF2(gelu(FF1(y)))).
-Tensor encoder_layer_forward(const Tensor& x, const EncoderLayerWeights& w,
-                             RowSoftmax& softmax_impl);
 
 }  // namespace star::nn

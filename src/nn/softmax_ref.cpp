@@ -7,12 +7,6 @@
 
 namespace star::nn {
 
-std::vector<double> softmax(std::span<const double> x) {
-  std::vector<double> out(x.size());
-  softmax_into(x, out);
-  return out;
-}
-
 // STAR_HOT
 void softmax_into(std::span<const double> x, std::span<double> out) {
   require(!x.empty(), "softmax: empty input");
@@ -26,15 +20,6 @@ void softmax_into(std::span<const double> x, std::span<double> out) {
   for (auto& v : out) {
     v /= denom;
   }
-}
-
-Tensor softmax_rows(const Tensor& x) {
-  Tensor out(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto s = softmax(x.row(r));
-    std::copy(s.begin(), s.end(), out.row(r).begin());
-  }
-  return out;
 }
 
 double logsumexp(std::span<const double> x) {

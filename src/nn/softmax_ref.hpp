@@ -3,50 +3,23 @@
 #pragma once
 
 #include <span>
-#include <vector>
-
-#include "nn/tensor.hpp"
 
 namespace star::nn {
 
-/// Numerically stable softmax of one row: exp(x - max) / sum(exp(x - max)).
-std::vector<double> softmax(std::span<const double> x);
-
-/// Allocation-free softmax: writes the probabilities into `out` (same
-/// length as `x`; may alias it). Identical operation order to softmax(),
-/// so the two are bit-identical element for element.
+/// Numerically stable softmax of one row, exp(x - max) / sum(exp(x - max)),
+/// written into `out` (same length as `x`; may alias it).
 void softmax_into(std::span<const double> x, std::span<double> out);
-
-/// Row-wise softmax of a matrix.
-Tensor softmax_rows(const Tensor& x);
 
 /// log(sum(exp(x))) computed stably (used by tests as an independent oracle:
 /// softmax(x)_i == exp(x_i - logsumexp(x))).
 double logsumexp(std::span<const double> x);
 
-/// Abstract row-softmax interface so attention can run on the reference,
-/// the STAR engine, Softermax or the CMOS baseline interchangeably.
-class RowSoftmax {
- public:
-  virtual ~RowSoftmax() = default;
-  [[nodiscard]] virtual std::vector<double> operator()(std::span<const double> x) = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-};
-
-/// The exact implementation of RowSoftmax.
-class ExactSoftmax final : public RowSoftmax {
- public:
-  [[nodiscard]] std::vector<double> operator()(std::span<const double> x) override {
-    return softmax(x);
-  }
-  [[nodiscard]] const char* name() const override { return "exact"; }
-};
-
-/// Span-writing row-softmax interface — the allocation-free counterpart of
-/// RowSoftmax used by the arena-backed attention kernels (nn/workspace.hpp).
-/// Implementations must write exactly x.size() probabilities into `out` and
-/// must not allocate on the warm path (per-run scratch lives behind the
-/// implementation, e.g. core::SoftmaxScratch).
+/// Row-softmax interface, so attention runs on the reference, the STAR
+/// engine, Softermax or the CMOS baseline interchangeably
+/// (nn/workspace.hpp). Implementations must write exactly x.size()
+/// probabilities into `out` and must not allocate on the warm path
+/// (per-run scratch lives behind the implementation, e.g.
+/// core::SoftmaxScratch).
 class RowSoftmaxInto {
  public:
   virtual ~RowSoftmaxInto() = default;
@@ -54,7 +27,7 @@ class RowSoftmaxInto {
   [[nodiscard]] virtual const char* name() const = 0;
 };
 
-/// The exact implementation of RowSoftmaxInto (bit-identical to softmax()).
+/// The exact implementation of RowSoftmaxInto.
 class ExactSoftmaxInto final : public RowSoftmaxInto {
  public:
   void operator()(std::span<const double> x, std::span<double> out) override {

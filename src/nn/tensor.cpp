@@ -57,28 +57,6 @@ std::span<const double> Tensor::row(std::size_t r) const {
   return {data_.data() + r * cols_, cols_};
 }
 
-Tensor Tensor::matmul(const Tensor& other) const {
-  require(cols_ == other.rows_,
-          expected_got("Tensor::matmul inner dim", static_cast<long long>(cols_),
-                       static_cast<long long>(other.rows_)));
-  Tensor out(rows_, other.cols_);
-  // ikj loop order: streams `other` rows, cache-friendly for row-major data.
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = data_[i * cols_ + k];
-      if (a == 0.0) {
-        continue;
-      }
-      const double* brow = other.data_.data() + k * other.cols_;
-      double* orow = out.data_.data() + i * other.cols_;
-      for (std::size_t j = 0; j < other.cols_; ++j) {
-        orow[j] += a * brow[j];
-      }
-    }
-  }
-  return out;
-}
-
 Tensor Tensor::transposed() const {
   Tensor out(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -101,32 +79,6 @@ Tensor& Tensor::scale(double k) {
     v *= k;
   }
   return *this;
-}
-
-Tensor Tensor::map(const std::function<double(double)>& f) const {
-  Tensor out(rows_, cols_);
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = f(data_[i]);
-  }
-  return out;
-}
-
-Tensor operator+(const Tensor& a, const Tensor& b) {
-  require(a.rows_ == b.rows_ && a.cols_ == b.cols_, "Tensor operator+: shape mismatch");
-  Tensor out(a.rows_, a.cols_);
-  for (std::size_t i = 0; i < out.data_.size(); ++i) {
-    out.data_[i] = a.data_[i] + b.data_[i];
-  }
-  return out;
-}
-
-Tensor operator-(const Tensor& a, const Tensor& b) {
-  require(a.rows_ == b.rows_ && a.cols_ == b.cols_, "Tensor operator-: shape mismatch");
-  Tensor out(a.rows_, a.cols_);
-  for (std::size_t i = 0; i < out.data_.size(); ++i) {
-    out.data_[i] = a.data_[i] - b.data_[i];
-  }
-  return out;
 }
 
 double Tensor::max_abs_diff(const Tensor& a, const Tensor& b) {

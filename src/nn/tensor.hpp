@@ -1,12 +1,11 @@
 // Minimal dense 2-D tensor for the attention substrate.
 //
-// Row-major double storage with the handful of operations transformer
-// inference needs: matmul, transpose, row views, scaling. Deliberately not
-// a general tensor library — shapes are always (rows, cols) and checked.
+// Row-major double storage: shape, element and row access, transpose and
+// scaling. The kernels that compute on it are the span/view ones in
+// nn/workspace.hpp. Shapes are always (rows, cols) and checked.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -45,9 +44,6 @@ class Tensor {
   [[nodiscard]] std::span<const double> flat() const { return data_; }
   [[nodiscard]] std::span<double> flat() { return data_; }
 
-  /// this (rows x k) * other (k x cols) -> (rows x cols).
-  [[nodiscard]] Tensor matmul(const Tensor& other) const;
-
   [[nodiscard]] Tensor transposed() const;
 
   /// Element-wise in-place scale.
@@ -59,12 +55,6 @@ class Tensor {
   /// without reallocating). Contents after the call are unspecified —
   /// every element is expected to be overwritten by the producing kernel.
   void reshape(std::size_t rows, std::size_t cols);
-
-  /// Element-wise map (returns a new tensor).
-  [[nodiscard]] Tensor map(const std::function<double(double)>& f) const;
-
-  friend Tensor operator+(const Tensor& a, const Tensor& b);
-  friend Tensor operator-(const Tensor& a, const Tensor& b);
 
   /// max |a - b| over all elements (shape-checked).
   static double max_abs_diff(const Tensor& a, const Tensor& b);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/ops.hpp"
 #include "util/math.hpp"
 #include "util/status.hpp"
 
@@ -69,10 +68,9 @@ void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out) {
       orow[j] = 0.0;
     }
   }
-  // Tensor::matmul's exact ikj order, zero-operand skip included: each
-  // output element accumulates over ascending k, so the result is
-  // bit-identical to the allocating matmul (and per COLUMN BLOCK to the
-  // per-head products a fused SoA weight block replaces).
+  // ikj order, zero-operand skip included: each output element
+  // accumulates over ascending k, so a column block of a fused SoA weight
+  // block is bit-identical to the per-head product it replaces.
   for (std::size_t i = 0; i < a.rows; ++i) {
     const double* arow = a.data + i * a.stride;
     double* orow = out.data + i * out.stride;
@@ -222,7 +220,7 @@ void gelu_inplace(TensorView x) {
   for (std::size_t r = 0; r < x.rows; ++r) {
     double* row = x.data + r * x.stride;
     for (std::size_t c = 0; c < x.cols; ++c) {
-      row[c] = gelu(row[c]);
+      row[c] = 0.5 * row[c] * (1.0 + std::erf(row[c] / std::sqrt(2.0)));
     }
   }
 }
@@ -252,7 +250,7 @@ void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
   matmul_into(x, view_of(w.wv), v);
 
   // Per-head scratch is shared across heads; the context lands directly in
-  // its concat column block (what the legacy path copied row by row).
+  // its concat column block.
   const TensorView ctx = ws.alloc_view(seq, d_qkv);
   const TensorView scores = ws.alloc_view(seq, seq);
   const TensorView probs = ws.alloc_view(seq, seq);
@@ -262,8 +260,8 @@ void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
     const ConstTensorView vh = v.block_cols(h * d_k, d_k);
     matmul_transb_into(qh, kh, scores);
     scale_inplace(scores, 1.0 / std::sqrt(static_cast<double>(d_k)));
-    // Rows in ascending order — the fault-RNG draw order every legacy
-    // softmax consumer established.
+    // Rows in ascending order: the fault-RNG draw order of the payload
+    // contract.
     for (std::size_t r = 0; r < seq; ++r) {
       softmax_impl(scores.row(r), probs.row(r));
     }

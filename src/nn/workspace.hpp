@@ -10,17 +10,14 @@
 //  * TensorView / ConstTensorView — non-owning strided 2-D views over
 //    arena (or Tensor) storage, so column slices of a fused SoA weight
 //    block or of a shared Q/K/V buffer are first-class operands.
-//  * *_into fused kernels — in-place/span-output counterparts of the
-//    Tensor/ops primitives, each replicating its legacy counterpart's
-//    per-element operation order EXACTLY. Bit-identity is the contract:
-//    matmul_into accumulates over ascending k with the same
-//    skip-zero-operand test as Tensor::matmul, matmul_transb_into matches
-//    matmul-against-materialized-transpose, layer_norm_into matches
-//    nn::layer_norm, softmax rows go through nn::RowSoftmaxInto. The
-//    allocating nn:: entry points (multi_head_attention,
-//    encoder_layer_forward) are deliberately KEPT as an independent
-//    reference spec; tests/test_workspace.cpp compares the two paths
-//    bit-for-bit.
+//  * *_into kernels — the one entry point of each functional op (matmul,
+//    transposed-operand matmul, scale, add, layer norm, GELU, multi-head
+//    attention, encoder layer), writing into caller views. Softmax rows go
+//    through nn::RowSoftmaxInto. The output bits are the repo's payload
+//    contract: every matmul element accumulates over ascending k and skips
+//    a zero left operand, and layer norm uses util mean/stddev. The
+//    plain-loop test reference (tests/support/encoder_ref.hpp) and the
+//    cross-build goldens (tests/golden/payload_hashes.csv) pin them.
 //
 // Aliasing rules: add_into(a, b, out) may alias b/out (per-element read
 // happens before the write at the same index); layer_norm_into may run in
@@ -114,11 +111,11 @@ class Workspace {
   std::size_t used_ = 0;
 };
 
-// --- fused kernels (bit-identical to their allocating counterparts) ---
+// --- kernels ---
 
-/// out = a * b. Zero-fills out, then accumulates in Tensor::matmul's exact
-/// ikj order (including its skip on a(i,k) == 0.0). out must not alias
-/// either input.
+/// out = a * b. Zero-fills out, then accumulates in ikj order: each output
+/// element sums over ascending k, skipping a(i,k) == 0.0. out must not
+/// alias either input.
 void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
 /// out = a * b^T without materializing the transpose (b^T passes through a
@@ -126,29 +123,31 @@ void matmul_into(ConstTensorView a, ConstTensorView b, TensorView out);
 /// order matches matmul_into(a, transposed(b)) exactly.
 void matmul_transb_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
-/// Element-wise in-place scale (Tensor::scale).
+/// Element-wise in-place scale.
 void scale_inplace(TensorView x, double k);
 
-/// out = a + b element-wise (Tensor operator+); b and out may alias.
+/// out = a + b element-wise; b and out may alias.
 void add_into(ConstTensorView a, ConstTensorView b, TensorView out);
 
-/// Row-wise layer norm (nn::layer_norm); in-place (out == x) is safe.
+/// Row-wise layer normalisation, gain/bias folded to 1/0:
+/// (x - mean) / sqrt(stddev^2 + eps). In-place (out == x) is safe.
 void layer_norm_into(ConstTensorView x, TensorView out, double eps = 1e-12);
 
-/// Element-wise exact GELU in place (nn::gelu).
+/// Element-wise exact GELU in place: x * Phi(x).
 void gelu_inplace(TensorView x);
 
 /// Multi-head attention into a caller view, with every intermediate (fused
 /// Q/K/V, per-head scores/probabilities, context) in arena scratch that is
-/// rewound before returning. Bit-identical to nn::multi_head_attention.
+/// rewound before returning: softmax(Q K^T / sqrt(d_k)) V per head, rows
+/// in ascending order, heads concatenated and projected by Wo.
 void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
                                RowSoftmaxInto& softmax_impl, Workspace& ws,
                                TensorView out);
 
-/// One encoder layer into a caller view (bit-identical to
-/// nn::encoder_layer_forward). `out` may alias the storage `x` was read
-/// from in a ping-pong chain — the final layer_norm reads its summed
-/// operand, not x.
+/// One encoder layer into a caller view:
+/// y = LN(x + MHA(x)); out = LN(y + FF2(gelu(FF1(y)))). `out` may alias
+/// the storage `x` was read from in a ping-pong chain — the final
+/// layer_norm reads its summed operand, not x.
 void encoder_layer_forward_into(ConstTensorView x, const EncoderLayerWeights& w,
                                 RowSoftmaxInto& softmax_impl, Workspace& ws,
                                 TensorView out);

@@ -77,10 +77,12 @@ ProxyMetrics evaluate_format(const DatasetProfile& profile, const fxp::QFormat& 
   double se_acc = 0.0;
   std::size_t agree = 0;
   std::size_t n_elems = 0;
+  std::vector<double> exact;
 
   for (std::size_t r = 0; r < cfg.rows; ++r) {
     const auto row = profile.sample_row(cfg.row_len, rng);
-    const auto exact = nn::softmax(row);
+    exact.resize(row.size());
+    nn::softmax_into(row, exact);
     const auto quant = quantized_softmax(row, fmt, lut_bits);
 
     kl_acc += kl_divergence(exact, quant);

@@ -5,13 +5,11 @@
 
 namespace star::xbar {
 
-CamCrossbar::CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits,
-                         Rng rng)
+CamCrossbar::CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits)
     : tech_(tech),
       device_(device),
       rows_(rows),
       bits_(bits),
-      rng_(rng),
       stored_(static_cast<std::size_t>(rows), -1) {
   require(rows >= 1, "CamCrossbar: rows must be >= 1");
   require(bits >= 1 && bits <= 32, "CamCrossbar: bits must be in [1, 32]");
@@ -93,17 +91,6 @@ void CamCrossbar::fill(const std::vector<std::int64_t>& codes) {
   }
 }
 
-std::vector<bool> CamCrossbar::search(std::int64_t code, double miss_prob) {
-  return static_cast<const CamCrossbar&>(*this).search(code, miss_prob, rng_);
-}
-
-std::vector<bool> CamCrossbar::search(std::int64_t code, double miss_prob,
-                                      Rng& rng) const {
-  std::vector<bool> match;
-  search_into(code, miss_prob, rng, match);
-  return match;
-}
-
 // STAR_HOT
 void CamCrossbar::search_into(std::int64_t code, double miss_prob, Rng& rng,
                               std::vector<bool>& match) const {
@@ -116,16 +103,6 @@ void CamCrossbar::search_into(std::int64_t code, double miss_prob, Rng& rng,
       match[static_cast<std::size_t>(r)] = sensed;
     }
   }
-}
-
-std::optional<int> CamCrossbar::search_index(std::int64_t code) {
-  const auto m = search(code);
-  for (std::size_t r = 0; r < m.size(); ++r) {
-    if (m[r]) {
-      return static_cast<int>(r);
-    }
-  }
-  return std::nullopt;
 }
 
 Energy CamCrossbar::program_energy() const {

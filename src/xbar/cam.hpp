@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "hw/component.hpp"
@@ -25,8 +24,7 @@ namespace star::xbar {
 class CamCrossbar {
  public:
   /// `rows` stored patterns of `bits` bits (2 cells/bit on the die).
-  CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits,
-              Rng rng = Rng(0xCA3));
+  CamCrossbar(const hw::TechNode& tech, RramDevice device, int rows, int bits);
 
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int bits() const { return bits_; }
@@ -38,21 +36,12 @@ class CamCrossbar {
   /// Fill rows 0..n-1 with codes produced by `code_of_row`.
   void fill(const std::vector<std::int64_t>& codes);
 
-  /// One search cycle: matchline vector for `code` (search-error rate
-  /// `miss_prob` flips a matching line low with that probability). Draws
-  /// fault samples from the member stream; use the const overload when the
-  /// crossbar is shared across threads.
-  [[nodiscard]] std::vector<bool> search(std::int64_t code, double miss_prob = 0.0);
-
-  /// Thread-safe search against shared read-only contents: fault samples
-  /// come from the caller's per-run stream, the crossbar is not mutated.
-  [[nodiscard]] std::vector<bool> search(std::int64_t code, double miss_prob,
-                                         Rng& rng) const;
-
-  /// Allocation-free search: writes the matchline vector into caller-owned
-  /// scratch (resized to rows(); no allocation once its capacity covers
-  /// that). Same row scan and fault-draw order as search(), so the two are
-  /// bit- and RNG-stream-identical — search() delegates here.
+  /// One search cycle: writes the matchline vector for `code` into
+  /// caller-owned scratch (resized to rows(); no allocation once its
+  /// capacity covers that). Search-error rate `miss_prob` flips a matching
+  /// line low with that probability, drawing one fault sample per matching
+  /// row from the caller's per-run stream; the crossbar is not mutated, so
+  /// it may be shared across threads.
   void search_into(std::int64_t code, double miss_prob, Rng& rng,
                    std::vector<bool>& match) const;
 
@@ -93,12 +82,6 @@ class CamCrossbar {
     return sensed ? static_cast<int>(r) : -1;
   }
 
-  /// The member fault stream (legacy single-stream call sites).
-  [[nodiscard]] Rng& fault_rng() { return rng_; }
-
-  /// Convenience: the index of the (unique) matching row, if any.
-  [[nodiscard]] std::optional<int> search_index(std::int64_t code);
-
   /// Per-search dynamic energy, latency; total area incl. sense amps.
   [[nodiscard]] hw::Cost search_cost() const { return search_cost_; }
   [[nodiscard]] Area area() const { return area_; }
@@ -113,7 +96,6 @@ class CamCrossbar {
   RramDevice device_;
   int rows_;
   int bits_;
-  Rng rng_;
   std::vector<std::int64_t> stored_;  // -1 = unprogrammed (never matches)
   // Inverted index over stored_: code -> row, -1 = absent. Rebuilt after
   // every mutation (programming is cold; searching is the hot path), valid

@@ -9,11 +9,10 @@
 
 namespace star::xbar {
 
-CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits,
-                               Rng rng)
+CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits)
     : tech_(tech),
       bits_(bits),
-      cam_(tech, device, 1 << bits, bits, rng) {
+      cam_(tech, device, 1 << bits, bits) {
   require(bits >= 2 && bits <= 12, "CamSubCrossbar: bits must be in [2, 12]");
 
   // Preload every representable code in descending order.
@@ -55,24 +54,12 @@ int CamSubCrossbar::row_of(std::int64_t code) const {
   return rows() - 1 - static_cast<int>(code);
 }
 
-MaxFindResult CamSubCrossbar::find_max(std::span<const std::int64_t> codes,
-                                       double miss_prob) {
-  return find_max(codes, miss_prob, cam_.fault_rng());
-}
-
-MaxFindResult CamSubCrossbar::find_max(std::span<const std::int64_t> codes,
-                                       double miss_prob, Rng& rng) const {
-  MaxFindResult res;
-  find_max_into(codes, miss_prob, rng, res);
-  return res;
-}
-
 template <typename OnSearch>
 int CamSubCrossbar::search_all(std::span<const std::int64_t> codes, double miss_prob,
                                Rng& rng, OnSearch&& on_search) const {
-  require(!codes.empty(), "CamSubCrossbar::find_max: empty input");
+  require(!codes.empty(), "CamSubCrossbar max-find: empty input");
   require(miss_prob >= 0.0 && miss_prob <= 1.0,
-          "CamSubCrossbar::find_max: miss_prob in [0, 1]");
+          "CamSubCrossbar max-find: miss_prob in [0, 1]");
   // Operand range, checked once per row, so the searches below index the
   // CAM unchecked.
   std::int64_t lo = codes[0];
@@ -81,7 +68,7 @@ int CamSubCrossbar::search_all(std::span<const std::int64_t> codes, double miss_
     lo = std::min(lo, c);
     hi = std::max(hi, c);
   }
-  require(lo >= 0 && hi < rows(), "CamSubCrossbar::find_max: code out of operand range");
+  require(lo >= 0 && hi < rows(), "CamSubCrossbar max-find: code out of operand range");
 
   // The descending preload is bijective, so each search raises at most one
   // matchline: search_row_unchecked resolves it (and draws its one fault
@@ -92,13 +79,13 @@ int CamSubCrossbar::search_all(std::span<const std::int64_t> codes, double miss_
   for (std::size_t i = 0; i < codes.size(); ++i) {
     const int row = cam_.search_row_unchecked(codes[i], miss_prob, rng);
     STAR_CONTRACT(row >= 0 || miss_prob > 0.0,
-                  "CamSubCrossbar::find_max: every preloaded code must match");
+                  "CamSubCrossbar max-find: every preloaded code must match");
     on_search(i, row);
     first_row = std::min(first_row, static_cast<unsigned>(row));
   }
   if (first_row == static_cast<unsigned>(rows())) {
     throw SimulationError(
-        "CamSubCrossbar::find_max: every search missed; no matchline to encode");
+        "CamSubCrossbar max-find: every search missed; no matchline to encode");
   }
   return static_cast<int>(first_row);
 }
@@ -143,18 +130,11 @@ void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
   res.max_code = code_at(max_row);
 }
 
-std::vector<std::int64_t> CamSubCrossbar::subtract_all(
-    const MaxFindResult& mf, std::span<const std::int64_t> codes) const {
-  std::vector<std::int64_t> out(codes.size());
-  subtract_into(mf, codes, out);
-  return out;
-}
-
 void CamSubCrossbar::subtract_into(const MaxFindResult& mf,
                                    std::span<const std::int64_t> codes,
                                    std::span<std::int64_t> out) const {
   require(mf.input_rows.size() == codes.size(),
-          "CamSubCrossbar::subtract_all: find_max result does not cover inputs");
+          "CamSubCrossbar::subtract_into: max-find result does not cover inputs");
   STAR_ASSERT(out.size() == codes.size(),
               "CamSubCrossbar::subtract_into: output span length mismatch");
   // +V on the input's row, -V on the max row: SL output = x_i - x_max.

@@ -41,8 +41,7 @@ struct MaxFindResult {
 class CamSubCrossbar {
  public:
   /// `bits`-wide operands; rows = 2^bits, preloaded descending.
-  CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits,
-                 Rng rng = Rng(0xCA5B));
+  CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int bits);
 
   [[nodiscard]] int bits() const { return bits_; }
   [[nodiscard]] int rows() const { return cam_.rows(); }
@@ -60,31 +59,22 @@ class CamSubCrossbar {
   /// the descending preload): the precondition of the O(d) max-find.
   [[nodiscard]] bool unique_codes() const { return cam_.unique_codes(); }
 
+  /// Phases A and B fused over one row — the softmax engine's stage 1.
+  /// Writes x_i - x_max into `out` (codes.size(); a missed input reads
+  /// -(2^bits), see subtract_into). The row is range-checked once; the
+  /// searches draw one fault sample each from the caller's per-run stream
+  /// (none when miss_prob == 0), in input order, exactly as
+  /// find_max_into() does. Throws SimulationError if every search misses.
+  void max_subtract_into(std::span<const std::int64_t> codes, double miss_prob, Rng& rng,
+                         std::span<std::int64_t> out) const;
+
   /// Phase A over all inputs: d search cycles + OR merge + priority encode.
   /// `miss_prob` injects matchline sensing failures: a missed input raises
   /// no matchline, is excluded from the max vote and later reads as a deep
   /// (underflowed) magnitude. Throws SimulationError if *every* search
-  /// misses (no matchline to encode).
-  [[nodiscard]] MaxFindResult find_max(std::span<const std::int64_t> codes,
-                                       double miss_prob = 0.0);
-
-  /// Thread-safe variant against shared read-only contents: fault samples
-  /// come from the caller's per-run stream.
-  [[nodiscard]] MaxFindResult find_max(std::span<const std::int64_t> codes,
-                                       double miss_prob, Rng& rng) const;
-
-  /// Phases A and B fused over one row — the softmax engine's stage 1.
-  /// Writes x_i - x_max into `out` (codes.size(); a missed input reads
-  /// -(2^bits), see subtract_all). The row is range-checked once; the
-  /// searches draw one fault sample each (none when miss_prob == 0), in
-  /// input order, exactly as find_max() does. Throws SimulationError if
-  /// every search misses.
-  void max_subtract_into(std::span<const std::int64_t> codes, double miss_prob, Rng& rng,
-                         std::span<std::int64_t> out) const;
-
-  /// Allocation-free find_max: the result's vectors are caller-owned and
-  /// reused across rows (assign/resize keep capacity, so a warm row
-  /// allocates nothing); find_max() delegates here. O(d): each search
+  /// misses (no matchline to encode). The result's vectors are
+  /// caller-owned and reused across rows (assign/resize keep capacity, so
+  /// a warm row allocates nothing). O(d): each search
   /// resolves its one matchline through the CAM's code->row index, and the
   /// priority encoder's answer (the first set merged matchline) is tracked
   /// as the minimum matched row instead of scanning all 2^bits lines. The
@@ -99,14 +89,11 @@ class CamSubCrossbar {
     find_max_into(codes, miss_prob, rng, res);
   }
 
-  /// Phase B: per-element x_i - x_max (non-positive), given a find_max
-  /// result. Missed inputs return -(2^bits) (below every representable
-  /// magnitude, i.e. their exponential underflows to zero downstream).
-  [[nodiscard]] std::vector<std::int64_t> subtract_all(const MaxFindResult& mf,
-                                                       std::span<const std::int64_t> codes) const;
-
-  /// Allocation-free subtract: writes into a caller span of codes.size().
-  /// Same per-element rule as max_subtract_into().
+  /// Phase B: per-element x_i - x_max (non-positive), given a
+  /// find_max_into result, written into a caller span of codes.size().
+  /// Missed inputs read -(2^bits) (below every representable magnitude,
+  /// i.e. their exponential underflows to zero downstream). Same
+  /// per-element rule as max_subtract_into().
   void subtract_into(const MaxFindResult& mf, std::span<const std::int64_t> codes,
                      std::span<std::int64_t> out) const;
 
@@ -114,7 +101,7 @@ class CamSubCrossbar {
   [[nodiscard]] Area area() const { return area_; }
   [[nodiscard]] Power leakage() const { return leakage_; }
 
-  /// Costs of a whole find_max over d inputs / a whole subtract pass.
+  /// Costs of a whole max-find over d inputs / a whole subtract pass.
   [[nodiscard]] Energy maxfind_energy(int d) const;
   [[nodiscard]] Time maxfind_latency(int d) const;
   [[nodiscard]] Energy subtract_energy(int d) const;

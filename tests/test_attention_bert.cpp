@@ -7,6 +7,7 @@
 #include "nn/bert.hpp"
 #include "nn/opcount.hpp"
 #include "nn/softmax_ref.hpp"
+#include "nn/workspace.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 
@@ -14,12 +15,13 @@ namespace star::nn {
 namespace {
 
 TEST(Attention, ScoresAreScaledDotProducts) {
+  // The score kernel pair multi_head_attention_into runs per head.
   Rng rng(1);
   const auto q = Tensor::randn(4, 8, rng);
   const auto k = Tensor::randn(6, 8, rng);
-  const auto s = attention_scores(q, k);
-  ASSERT_EQ(s.rows(), 4u);
-  ASSERT_EQ(s.cols(), 6u);
+  Tensor s(4, 6);
+  matmul_transb_into(view_of(q), view_of(k), view_of(s));
+  scale_inplace(view_of(s), 1.0 / std::sqrt(8.0));
   double expected = 0.0;
   for (std::size_t d = 0; d < 8; ++d) {
     expected += q.at(1, d) * k.at(2, d);
@@ -28,25 +30,37 @@ TEST(Attention, ScoresAreScaledDotProducts) {
   EXPECT_NEAR(s.at(1, 2), expected, 1e-12);
 }
 
-TEST(Attention, MatchesManualComposition) {
-  Rng rng(2);
-  const auto q = Tensor::randn(5, 8, rng);
-  const auto k = Tensor::randn(7, 8, rng);
-  const auto v = Tensor::randn(7, 3, rng);
-  ExactSoftmax sm;
-  const auto out = scaled_dot_attention(q, k, v, sm);
-  const auto p = softmax_rows(attention_scores(q, k));
-  const auto expected = p.matmul(v);
-  EXPECT_LT(Tensor::max_abs_diff(out, expected), 1e-12);
+/// Runs multi_head_attention_into on a fresh arena into a new tensor.
+Tensor mha(const Tensor& x, const MhaWeights& w) {
+  Workspace ws;
+  ws.require_capacity(1 << 14);
+  ExactSoftmaxInto sm;
+  Tensor out(x.rows(), w.wo.cols());
+  multi_head_attention_into(view_of(x), w, sm, ws, view_of(out));
+  return out;
 }
 
 TEST(Attention, RowsAreConvexCombinationsOfV) {
+  // x's column 0 is all ones and only row 0 of Wv is non-zero (all ones),
+  // so every head's V is all ones; with Wo the identity, every output is
+  // a convex combination of ones.
   Rng rng(3);
-  const auto q = Tensor::randn(4, 8, rng);
-  const auto k = Tensor::randn(6, 8, rng);
-  Tensor v(6, 2, 1.0);  // all-ones values -> every output must be exactly 1
-  ExactSoftmax sm;
-  const auto out = scaled_dot_attention(q, k, v, sm);
+  auto w = MhaWeights::random(2, 8, 4, rng);
+  auto x = Tensor::randn(6, 8, rng);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    x.at(r, 0) = 1.0;
+  }
+  for (std::size_t r = 0; r < w.wv.rows(); ++r) {
+    for (std::size_t c = 0; c < w.wv.cols(); ++c) {
+      w.wv.at(r, c) = r == 0 ? 1.0 : 0.0;
+    }
+  }
+  for (std::size_t r = 0; r < w.wo.rows(); ++r) {
+    for (std::size_t c = 0; c < w.wo.cols(); ++c) {
+      w.wo.at(r, c) = r == c ? 1.0 : 0.0;
+    }
+  }
+  const auto out = mha(x, w);
   for (std::size_t r = 0; r < out.rows(); ++r) {
     for (std::size_t c = 0; c < out.cols(); ++c) {
       EXPECT_NEAR(out.at(r, c), 1.0, 1e-12);
@@ -54,26 +68,16 @@ TEST(Attention, RowsAreConvexCombinationsOfV) {
   }
 }
 
-TEST(Attention, KvLengthMismatchRejected) {
-  Rng rng(4);
-  const auto q = Tensor::randn(4, 8, rng);
-  const auto k = Tensor::randn(6, 8, rng);
-  const auto v = Tensor::randn(5, 2, rng);
-  ExactSoftmax sm;
-  EXPECT_THROW(scaled_dot_attention(q, k, v, sm), InvalidArgument);
-}
-
 TEST(MultiHeadAttention, ShapesAndDeterminism) {
   Rng rng(5);
   const auto w = MhaWeights::random(4, 32, 8, rng);
   Rng xrng(6);
   const auto x = Tensor::randn(10, 32, xrng);
-  ExactSoftmax sm;
-  const auto y1 = multi_head_attention(x, w, sm);
-  const auto y2 = multi_head_attention(x, w, sm);
+  const auto y1 = mha(x, w);
+  const auto y2 = mha(x, w);
   ASSERT_EQ(y1.rows(), 10u);
   ASSERT_EQ(y1.cols(), 32u);
-  EXPECT_DOUBLE_EQ(Tensor::max_abs_diff(y1, y2), 0.0);
+  EXPECT_TRUE(Tensor::bit_identical(y1, y2));
 }
 
 TEST(Bert, ConfigsValidate) {
@@ -91,8 +95,11 @@ TEST(Bert, EncoderLayerForwardRuns) {
   Rng rng(7);
   const auto w = EncoderLayerWeights::random(cfg, rng);
   const auto x = Tensor::randn(6, static_cast<std::size_t>(cfg.d_model), rng);
-  ExactSoftmax sm;
-  const auto y = encoder_layer_forward(x, w, sm);
+  ExactSoftmaxInto sm;
+  Workspace ws;
+  ws.require_capacity(encoder_workspace_doubles(cfg, 6));
+  Tensor y(6, static_cast<std::size_t>(cfg.d_model));
+  encoder_layer_forward_into(view_of(x), w, sm, ws, view_of(y));
   ASSERT_EQ(y.rows(), 6u);
   ASSERT_EQ(y.cols(), static_cast<std::size_t>(cfg.d_model));
   for (double v : y.flat()) {

@@ -14,6 +14,7 @@
 #include "core/functional_attention.hpp"
 #include "nn/softmax_ref.hpp"
 #include "sim/batch_scheduler.hpp"
+#include "support/encoder_ref.hpp"
 #include "util/status.hpp"
 #include "workload/trace_gen.hpp"
 
@@ -158,13 +159,12 @@ TEST(BatchEncoder, BatchedEqualsSequentialBitExact) {
   const auto inputs = workload::embedding_batch(
       6, 12, static_cast<std::size_t>(bert.d_model), 1.0, 99);
 
-  // Reference: B fully sequential runs through the legacy single-stream
-  // engine path, one fresh view per sequence (same per-sequence seeds).
+  // Reference: B sequential runs of the plain-loop reference encoder, one
+  // fresh engine run state per sequence (same per-sequence seeds).
   const auto seeds = workload::sequence_seeds(inputs.size(), 0x5EED);
   std::vector<nn::Tensor> reference;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
-    core::SoftmaxEngineView view(model.softmax_engine(), seeds[i]);
-    reference.push_back(nn::encoder_layer_forward(inputs[i], model.weights(), view));
+    reference.push_back(testing_ref::encoder_on_star(model, inputs[i], seeds[i], 1));
   }
 
   sim::BatchScheduler sched(4);

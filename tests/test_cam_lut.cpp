@@ -1,7 +1,11 @@
 // Tests for the CAM and LUT crossbars.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "hw/tech.hpp"
+#include "util/rng.hpp"
 #include "util/status.hpp"
 #include "xbar/cam.hpp"
 #include "xbar/lut.hpp"
@@ -15,11 +19,29 @@ CamCrossbar make_cam(int rows = 16, int bits = 6) {
   return CamCrossbar(kTech, RramDevice::ideal(2), rows, bits);
 }
 
+/// One search cycle's matchline vector, drawing faults from a local stream.
+std::vector<bool> search(const CamCrossbar& cam, std::int64_t code, double miss_prob = 0.0) {
+  Rng rng(0xCA3);
+  std::vector<bool> match;
+  cam.search_into(code, miss_prob, rng, match);
+  return match;
+}
+
+/// Row of the first raised matchline, or -1.
+int first_match(const std::vector<bool>& m) {
+  for (std::size_t r = 0; r < m.size(); ++r) {
+    if (m[r]) {
+      return static_cast<int>(r);
+    }
+  }
+  return -1;
+}
+
 TEST(CamCrossbar, SearchReturnsOneHotMatch) {
   auto cam = make_cam();
   cam.store(3, 42);
   cam.store(7, 13);
-  const auto m = cam.search(42);
+  const auto m = search(cam, 42);
   int set = 0;
   for (std::size_t r = 0; r < m.size(); ++r) {
     if (m[r]) {
@@ -33,28 +55,31 @@ TEST(CamCrossbar, SearchReturnsOneHotMatch) {
 TEST(CamCrossbar, NoMatchForUnstoredCode) {
   auto cam = make_cam();
   cam.store(0, 1);
-  const auto m = cam.search(2);
+  const auto m = search(cam, 2);
   for (bool b : m) {
     EXPECT_FALSE(b);
   }
-  EXPECT_FALSE(cam.search_index(2).has_value());
+  Rng rng(1);
+  EXPECT_EQ(cam.search_row(2, 0.0, rng), -1);
 }
 
-TEST(CamCrossbar, SearchIndexFindsRow) {
+TEST(CamCrossbar, SearchRowFindsRow) {
   auto cam = make_cam();
   cam.store(11, 5);
-  const auto idx = cam.search_index(5);
-  ASSERT_TRUE(idx.has_value());
-  EXPECT_EQ(*idx, 11);
+  ASSERT_TRUE(cam.unique_codes());
+  Rng rng(1);
+  EXPECT_EQ(cam.search_row(5, 0.0, rng), 11);
+  EXPECT_EQ(first_match(search(cam, 5)), 11);
 }
 
 TEST(CamCrossbar, FillStoresSequentially) {
   auto cam = make_cam(8, 4);
   cam.fill({3, 1, 4, 1});
-  EXPECT_EQ(cam.search_index(3).value(), 0);
-  EXPECT_EQ(cam.search_index(4).value(), 2);
+  EXPECT_EQ(first_match(search(cam, 3)), 0);
+  EXPECT_EQ(first_match(search(cam, 4)), 2);
   // Duplicate codes match multiple rows.
-  const auto m = cam.search(1);
+  EXPECT_FALSE(cam.unique_codes());
+  const auto m = search(cam, 1);
   EXPECT_TRUE(m[1]);
   EXPECT_TRUE(m[3]);
 }
@@ -62,7 +87,7 @@ TEST(CamCrossbar, FillStoresSequentially) {
 TEST(CamCrossbar, MissProbabilityOneDropsAll) {
   auto cam = make_cam();
   cam.store(2, 9);
-  const auto m = cam.search(9, 1.0);
+  const auto m = search(cam, 9, 1.0);
   for (bool b : m) {
     EXPECT_FALSE(b);
   }
@@ -90,7 +115,7 @@ TEST(CamCrossbar, RangeChecks) {
   auto cam = make_cam(8, 4);
   EXPECT_THROW(cam.store(8, 0), InvalidArgument);
   EXPECT_THROW(cam.store(0, 16), InvalidArgument);
-  EXPECT_THROW(cam.search(16), InvalidArgument);
+  EXPECT_THROW(search(cam, 16), InvalidArgument);
   EXPECT_THROW(cam.fill(std::vector<std::int64_t>(9, 0)), InvalidArgument);
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,10 +86,29 @@ TEST(EncoderModel, RejectsBadSeqLen) {
 
 // ---------- CAM fault injection ----------
 
+/// Phase A on a local fault stream.
+xbar::MaxFindResult find_max(const xbar::CamSubCrossbar& cs,
+                             std::span<const std::int64_t> codes, double miss_prob) {
+  Rng rng(0xCA5B);
+  xbar::MaxFindResult res;
+  cs.find_max_into(codes, miss_prob, rng, res);
+  return res;
+}
+
+/// Phase B into a new vector.
+std::vector<std::int64_t> subtract(const xbar::CamSubCrossbar& cs,
+                                   const xbar::MaxFindResult& mf,
+                                   std::span<const std::int64_t> codes) {
+  std::vector<std::int64_t> out(codes.size());
+  cs.subtract_into(mf, codes, out);
+  return out;
+}
+
+
 TEST(FaultInjection, MissProbZeroIsFaultFree) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 8);
   const std::vector<std::int64_t> xs{10, 250, 100};
-  const auto mf = cs.find_max(xs, 0.0);
+  const auto mf = find_max(cs, xs, 0.0);
   EXPECT_EQ(mf.misses, 0);
   EXPECT_EQ(mf.max_code, 250);
 }
@@ -97,10 +117,10 @@ TEST(FaultInjection, MissedInputsReadAsUnderflow) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 6);
   // miss_prob = 1 would miss everything (throws); use a crafted result.
   const std::vector<std::int64_t> xs{5, 60, 20};
-  auto mf = cs.find_max(xs, 0.0);
+  auto mf = find_max(cs, xs, 0.0);
   mf.input_rows[0] = -1;  // inject: first search missed
   mf.misses = 1;
-  const auto diffs = cs.subtract_all(mf, xs);
+  const auto diffs = subtract(cs, mf, xs);
   EXPECT_EQ(diffs[0], -64);  // below every representable magnitude
   EXPECT_EQ(diffs[1], 0);
   EXPECT_EQ(diffs[2], 20 - 60);
@@ -109,19 +129,19 @@ TEST(FaultInjection, MissedInputsReadAsUnderflow) {
 TEST(FaultInjection, AllMissesThrowSimulationError) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 6);
   const std::vector<std::int64_t> xs{5, 60};
-  EXPECT_THROW((void)cs.find_max(xs, 1.0), SimulationError);
+  EXPECT_THROW((void)find_max(cs, xs, 1.0), SimulationError);
 }
 
 TEST(FaultInjection, SaturatedSubtractionWhenMaxMissed) {
   xbar::CamSubCrossbar cs(hw::TechNode::n32(), xbar::RramDevice::ideal(2), 6);
   const std::vector<std::int64_t> xs{5, 60, 20};
-  auto mf = cs.find_max(xs, 0.0);
+  auto mf = find_max(cs, xs, 0.0);
   // Pretend the true max (60) missed and 20 was elected instead.
   mf.input_rows[1] = -1;
   mf.misses = 1;
   mf.max_row = cs.row_of(20);
   mf.max_code = 20;
-  const auto diffs = cs.subtract_all(mf, xs);
+  const auto diffs = subtract(cs, mf, xs);
   EXPECT_EQ(diffs[1], -64);  // the missed element underflows
   EXPECT_LE(diffs[0], 0);    // survivors stay non-positive (saturation)
   EXPECT_EQ(diffs[2], 0);
@@ -130,15 +150,18 @@ TEST(FaultInjection, SaturatedSubtractionWhenMaxMissed) {
 TEST(FaultInjection, EngineDegradesGracefullyUnderMisses) {
   StarConfig cfg = nine_bit_cfg();
   cfg.cam_miss_prob = 0.01;
-  SoftmaxEngine engine(cfg);
+  const SoftmaxEngine engine(cfg);
+  SoftmaxRunState run;
   Rng rng(7);
   const auto profile = workload::DatasetProfile::cnews();
   int agree = 0;
   const int rows = 100;
+  std::vector<double> exact(64);
+  std::vector<double> got(64);
   for (int r = 0; r < rows; ++r) {
     const auto row = profile.sample_row(64, rng);
-    const auto exact = nn::softmax(row);
-    const auto got = engine(row);
+    nn::softmax_into(row, exact);
+    engine.softmax_row_into(row, run, got);
     double sum = 0.0;
     for (double v : got) {
       EXPECT_GE(v, 0.0);

@@ -8,6 +8,7 @@
 #include "hw/interconnect.hpp"
 #include "nn/attention.hpp"
 #include "nn/softmax_ref.hpp"
+#include "support/encoder_ref.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -22,13 +23,22 @@ StarConfig nine_bit_cfg() {
   return cfg;
 }
 
+/// attention_on_star on fresh engines built from `cfg`.
+FunctionalAttentionResult run_on_star(const nn::Tensor& q, const nn::Tensor& k,
+                                      const nn::Tensor& v, const StarConfig& cfg) {
+  const MatmulEngine matmul(cfg);
+  const SoftmaxEngine softmax_engine(cfg);
+  SoftmaxRunState run;
+  return attention_on_star(q, k, v, matmul, softmax_engine, run);
+}
+
 TEST(FunctionalAttention, TracksExactAttention) {
   Rng rng(1);
   const auto qkv = workload::random_qkv(24, 64, 2.0, rng);
-  const auto res = attention_on_star(qkv.q, qkv.k, qkv.v, nine_bit_cfg());
+  const auto res = run_on_star(qkv.q, qkv.k, qkv.v, nine_bit_cfg());
 
-  nn::ExactSoftmax exact;
-  const auto ref = nn::scaled_dot_attention(qkv.q, qkv.k, qkv.v, exact);
+  nn::ExactSoftmaxInto exact;
+  const auto ref = testing_ref::attention_head(qkv.q, qkv.k, qkv.v, exact);
 
   ASSERT_EQ(res.output.rows(), ref.rows());
   ASSERT_EQ(res.output.cols(), ref.cols());
@@ -40,7 +50,7 @@ TEST(FunctionalAttention, TracksExactAttention) {
 TEST(FunctionalAttention, ProbabilitiesAreValid) {
   Rng rng(2);
   const auto qkv = workload::random_qkv(16, 32, 2.0, rng);
-  const auto res = attention_on_star(qkv.q, qkv.k, qkv.v, nine_bit_cfg());
+  const auto res = run_on_star(qkv.q, qkv.k, qkv.v, nine_bit_cfg());
   for (std::size_t r = 0; r < res.probabilities.rows(); ++r) {
     double sum = 0.0;
     for (double p : res.probabilities.row(r)) {
@@ -55,11 +65,12 @@ TEST(FunctionalAttention, ProbabilitiesAreValid) {
 TEST(FunctionalAttention, EngineReuseAcrossCalls) {
   Rng rng(3);
   const StarConfig cfg = nine_bit_cfg();
-  MatmulEngine matmul(cfg);
-  SoftmaxEngine softmax_engine(cfg);
+  const MatmulEngine matmul(cfg);
+  const SoftmaxEngine softmax_engine(cfg);
+  SoftmaxRunState run;
   const auto qkv = workload::random_qkv(8, 16, 2.0, rng);
-  const auto a = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine);
-  const auto b = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine);
+  const auto a = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine, run);
+  const auto b = attention_on_star(qkv.q, qkv.k, qkv.v, matmul, softmax_engine, run);
   // Ideal device: deterministic datapath.
   EXPECT_DOUBLE_EQ(nn::Tensor::max_abs_diff(a.output, b.output), 0.0);
 }
@@ -69,10 +80,10 @@ TEST(FunctionalAttention, ShapeChecks) {
   const auto q = nn::Tensor::randn(4, 8, rng);
   const auto k = nn::Tensor::randn(6, 10, rng);
   const auto v = nn::Tensor::randn(6, 4, rng);
-  EXPECT_THROW(attention_on_star(q, k, v, nine_bit_cfg()), InvalidArgument);
+  EXPECT_THROW(run_on_star(q, k, v, nine_bit_cfg()), InvalidArgument);
   const auto k2 = nn::Tensor::randn(6, 8, rng);
   const auto v2 = nn::Tensor::randn(5, 4, rng);
-  EXPECT_THROW(attention_on_star(q, k2, v2, nine_bit_cfg()), InvalidArgument);
+  EXPECT_THROW(run_on_star(q, k2, v2, nine_bit_cfg()), InvalidArgument);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/matmul_engine.hpp"
+#include "support/encoder_ref.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -35,7 +36,7 @@ TEST(MatmulEngine, FunctionalMultiplyTracksExact) {
   Rng rng(1);
   const auto x = nn::Tensor::randn(8, 48, rng);
   const auto w = nn::Tensor::randn(48, 24, rng);
-  const auto exact = x.matmul(w);
+  const auto exact = testing_ref::matmul(x, w);
   const auto got = eng.multiply(x, w);
   ASSERT_EQ(got.rows(), exact.rows());
   ASSERT_EQ(got.cols(), exact.cols());
@@ -54,7 +55,7 @@ TEST(MatmulEngine, MultiplySpansMultipleTiles) {
   // 160 inner dim -> 2 row stripes; 40 cols -> 2 col stripes.
   const auto x = nn::Tensor::randn(4, 160, rng);
   const auto w = nn::Tensor::randn(160, 40, rng);
-  const auto exact = x.matmul(w);
+  const auto exact = testing_ref::matmul(x, w);
   const auto got = eng.multiply(x, w);
   EXPECT_GT(cosine_similarity(exact.flat(), got.flat()), 0.97);
 }

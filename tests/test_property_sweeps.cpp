@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
+#include <vector>
 
 #include "baseline/softermax.hpp"
 #include "core/accelerator.hpp"
@@ -17,6 +19,13 @@
 
 namespace star {
 namespace {
+
+/// One row through a span-writing softmax, returned by value.
+std::vector<double> run(nn::RowSoftmaxInto& impl, std::span<const double> row) {
+  std::vector<double> out(row.size());
+  impl(row, out);
+  return out;
+}
 
 // --- Property 1: every softmax implementation in the repo is a valid
 // probability map (non-negative, ~normalised) across dataset
@@ -34,16 +43,18 @@ TEST_P(SoftmaxContract, ValidProbabilityMap) {
 
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine engine(cfg);
+  const core::SoftmaxEngine engine(cfg);
+  core::SoftmaxRunState engine_run;
+  core::SoftmaxEngineRowRef star(engine, engine_run);
   baseline::SoftermaxUnit softer(hw::TechNode::n32());
-  nn::ExactSoftmax exact;
+  nn::ExactSoftmaxInto exact;
 
   Rng rng(static_cast<std::uint64_t>(seed) * 104729);
   for (int trial = 0; trial < 10; ++trial) {
     const auto row = profile.sample_row(64, rng);
-    for (nn::RowSoftmax* impl :
-         std::initializer_list<nn::RowSoftmax*>{&engine, &softer, &exact}) {
-      const auto p = (*impl)(row);
+    for (nn::RowSoftmaxInto* impl :
+         std::initializer_list<nn::RowSoftmaxInto*>{&star, &softer, &exact}) {
+      const auto p = run(*impl, row);
       ASSERT_EQ(p.size(), row.size());
       double sum = 0.0;
       for (double v : p) {
@@ -55,7 +66,7 @@ TEST_P(SoftmaxContract, ValidProbabilityMap) {
       // The dominant element survives the high-precision implementations
       // (Softermax's 0.25-step base-2 input grid may legitimately tie
       // MRPC's sub-LSB contenders, so it is excluded here).
-      if (impl != static_cast<nn::RowSoftmax*>(&softer)) {
+      if (impl != static_cast<nn::RowSoftmaxInto*>(&softer)) {
         EXPECT_EQ(argmax(p), argmax(std::span<const double>(row)))
             << impl->name() << " on " << dataset;
       }
@@ -78,7 +89,10 @@ TEST(Monotonicity, EngineErrorGrowsAsFormatShrinks) {
   for (int f : {4, 3, 2, 1}) {
     core::StarConfig cfg;
     cfg.softmax_format = fxp::make_unsigned(6, f);
-    core::SoftmaxEngine engine(cfg);
+    const core::SoftmaxEngine engine(cfg);
+    core::SoftmaxRunState engine_run;
+    core::SoftmaxEngineRowRef star(engine, engine_run);
+    nn::ExactSoftmaxInto exact_softmax;
     Rng local(7);
     double se = 0.0;
     std::size_t n = 0;
@@ -91,8 +105,8 @@ TEST(Monotonicity, EngineErrorGrowsAsFormatShrinks) {
       for (auto& v : clamped) {
         v = std::clamp(v, -half, half);
       }
-      const auto exact = nn::softmax(clamped);
-      const auto got = engine(clamped);
+      const auto exact = run(exact_softmax, clamped);
+      const auto got = run(star, clamped);
       for (std::size_t i = 0; i < exact.size(); ++i) {
         se += (exact[i] - got[i]) * (exact[i] - got[i]);
       }
@@ -136,14 +150,16 @@ TEST_P(NoisyDeviceSweep, EngineSurvivesDeviceVariation) {
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kCnewsFormat;
   cfg.device = xbar::RramDevice::noisy(2, sigma, 0.0);
-  core::SoftmaxEngine engine(cfg);
+  const core::SoftmaxEngine engine(cfg);
+  core::SoftmaxRunState engine_run;
+  core::SoftmaxEngineRowRef star(engine, engine_run);
   Rng rng(3);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<double> row(32);
     for (auto& v : row) {
       v = rng.uniform(-20.0, 10.0);
     }
-    const auto p = engine(row);
+    const auto p = run(star, row);
     double sum = 0.0;
     for (double v : p) {
       EXPECT_GE(v, 0.0);
@@ -180,7 +196,9 @@ INSTANTIATE_TEST_SUITE_P(Lengths, StarLengthSweep,
 TEST(OracleAgreement, DatasetRowsWithinWindow) {
   core::StarConfig cfg;
   cfg.softmax_format = fxp::kMrpcFormat;
-  core::SoftmaxEngine engine(cfg);
+  const core::SoftmaxEngine engine(cfg);
+  core::SoftmaxRunState engine_run;
+  core::SoftmaxEngineRowRef star(engine, engine_run);
   const double half = std::ldexp(1.0, cfg.softmax_format.total_bits() - 1) *
                       cfg.softmax_format.resolution();
   Rng rng(17);
@@ -197,7 +215,7 @@ TEST(OracleAgreement, DatasetRowsWithinWindow) {
     }
     const auto oracle =
         workload::quantized_softmax(row, cfg.softmax_format, engine.lut_frac_bits());
-    const auto got = engine(row);
+    const auto got = run(star, row);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_NEAR(got[i], oracle[i], tol);
     }

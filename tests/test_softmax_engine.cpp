@@ -6,7 +6,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 #include "core/softmax_engine.hpp"
 #include "nn/attention.hpp"
 #include "nn/softmax_ref.hpp"
+#include "nn/workspace.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -44,6 +47,23 @@ std::vector<double> in_window_row(const fxp::QFormat& fmt, std::size_t n, Rng& r
   return row;
 }
 
+/// One row through softmax_row_into on a fresh run state.
+std::vector<double> softmax_row(const SoftmaxEngine& eng, std::span<const double> x) {
+  SoftmaxRunState run;
+  std::vector<double> p(x.size());
+  eng.softmax_row_into(x, run, p);
+  return p;
+}
+
+/// One operand-code row through forward_codes_into on a fresh run state.
+std::vector<std::int64_t> forward_codes(const SoftmaxEngine& eng,
+                                        std::span<const std::int64_t> codes) {
+  SoftmaxRunState run;
+  std::vector<std::int64_t> p(codes.size());
+  eng.forward_codes_into(codes, run, p);
+  return p;
+}
+
 TEST(SoftmaxEngine, GeometryMatchesPaperForNineBits) {
   const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));  // 9-bit
   // CAM/SUB 512x18; CAM/LUT/VMM with 256 rows (paper Section III).
@@ -59,7 +79,7 @@ TEST(SoftmaxEngine, MatchesOracleWithinDividerStep) {
     const auto row = in_window_row(eng.format(), 64, rng);
     const auto oracle =
         workload::quantized_softmax(row, eng.format(), eng.lut_frac_bits());
-    const auto got = eng(row);
+    const auto got = softmax_row(eng, row);
     ASSERT_EQ(got.size(), oracle.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_NEAR(got[i], oracle[i], tol) << "trial " << trial << " i " << i;
@@ -71,7 +91,7 @@ TEST(SoftmaxEngine, OutputsSumToOneWithinFlooring) {
   SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
   Rng rng(2);
   const auto row = in_window_row(eng.format(), 128, rng);
-  const auto p = eng(row);
+  const auto p = softmax_row(eng, row);
   const double sum = std::accumulate(p.begin(), p.end(), 0.0);
   // Each element floors away < 1 divider LSB.
   EXPECT_LE(sum, 1.0 + 1e-9);
@@ -83,7 +103,7 @@ TEST(SoftmaxEngine, OrderPreservingOnCodes) {
   // Codes within e^-x LUT resolution of the max (Q6.2: code 40 = value 10,
   // so the magnitudes below stay representable in the LUT words).
   const std::vector<std::int64_t> codes{16, 40, 30, 40};
-  const auto p = eng.forward_codes(codes);
+  const auto p = forward_codes(eng, codes);
   EXPECT_LT(p[0], p[2]);
   EXPECT_LT(p[2], p[1]);
   EXPECT_EQ(p[1], p[3]);  // equal codes -> identical probabilities
@@ -93,7 +113,7 @@ TEST(SoftmaxEngine, DeepElementsUnderflowToZero) {
   SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
   // Max code and an element farther than the exp CAM row range below it.
   const std::vector<std::int64_t> codes{255, 255 - eng.exp_rows() - 1};
-  const auto p = eng.forward_codes(codes);
+  const auto p = forward_codes(eng, codes);
   EXPECT_EQ(p[1], 0);
   EXPECT_GT(p[0], 0);
 }
@@ -103,32 +123,34 @@ TEST(SoftmaxEngine, AgreesWithExactSoftmaxOnTypicalRows) {
   Rng rng(3);
   for (int trial = 0; trial < 10; ++trial) {
     const auto row = in_window_row(eng.format(), 32, rng);
-    const auto exact = nn::softmax(row);
-    const auto got = eng(row);
+    std::vector<double> exact(row.size());
+    nn::softmax_into(row, exact);
+    const auto got = softmax_row(eng, row);
     EXPECT_EQ(argmax(exact), argmax(got));
     EXPECT_LT(max_abs_diff(exact, got), 0.04);
   }
 }
 
 TEST(SoftmaxEngine, WorksAsRowSoftmaxInAttention) {
-  StarConfig cfg = config_for(fxp::kMrpcFormat);
-  SoftmaxEngine eng(cfg);
-  nn::ExactSoftmax exact;
+  const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
+  SoftmaxRunState run;
+  SoftmaxEngineRowRef star(eng, run);
+  nn::ExactSoftmaxInto exact;
   Rng rng(4);
-  const auto q = nn::Tensor::randn(8, 16, rng);
-  const auto k = nn::Tensor::randn(8, 16, rng);
-  const auto v = nn::Tensor::randn(8, 4, rng);
-  const auto out_star = nn::scaled_dot_attention(q, k, v, eng);
-  const auto out_exact = nn::scaled_dot_attention(q, k, v, exact);
+  const auto w = nn::MhaWeights::random(2, 16, 8, rng);
+  const auto x = nn::Tensor::randn(8, 16, rng, 0.0, 2.0);
+  nn::Workspace ws;
+  ws.require_capacity(1 << 12);
+  nn::Tensor out_star(8, 16);
+  nn::Tensor out_exact(8, 16);
+  nn::multi_head_attention_into(nn::view_of(x), w, star, ws, nn::view_of(out_star));
+  nn::multi_head_attention_into(nn::view_of(x), w, exact, ws, nn::view_of(out_exact));
   EXPECT_LT(nn::Tensor::max_abs_diff(out_star, out_exact), 0.15);
 }
 
 TEST(SoftmaxEngine, RowStatsPopulatedAndConsistent) {
-  SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
-  Rng rng(5);
-  const auto row = in_window_row(eng.format(), 64, rng);
-  (void)eng(row);
-  const auto& st = eng.row_stats();
+  const SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
+  const auto st = eng.compute_row_stats(64);
   EXPECT_EQ(st.elements, 64);
   EXPECT_GT(st.latency.as_ns(), 0.0);
   EXPECT_GT(st.energy.as_pJ(), 0.0);
@@ -137,34 +159,44 @@ TEST(SoftmaxEngine, RowStatsPopulatedAndConsistent) {
   EXPECT_NEAR(st.latency.as_ns(), stage_sum, 1e-6);
 }
 
-TEST(SoftmaxEngine, RowStatsAreTheCostRecordOfTheLastRowLength) {
-  SoftmaxEngine eng(config_for(fxp::kMrpcFormat));
-  EXPECT_EQ(eng.row_stats().elements, 0);  // no row yet
-  Rng rng(6);
-  for (const std::size_t d : {std::size_t{1}, std::size_t{17}, std::size_t{283},
-                              std::size_t{5}}) {
-    (void)eng(in_window_row(eng.format(), d, rng));
-    const auto got = eng.row_stats();
-    const auto want = eng.compute_row_stats(static_cast<int>(d));
-    EXPECT_EQ(got.elements, want.elements);
-    EXPECT_EQ(got.latency.as_ns(), want.latency.as_ns());
-    EXPECT_EQ(got.energy.as_pJ(), want.energy.as_pJ());
-    EXPECT_EQ(got.t_maxfind.as_ns(), want.t_maxfind.as_ns());
-    EXPECT_EQ(got.t_subtract.as_ns(), want.t_subtract.as_ns());
-    EXPECT_EQ(got.t_exp.as_ns(), want.t_exp.as_ns());
-    EXPECT_EQ(got.t_sum.as_ns(), want.t_sum.as_ns());
-    EXPECT_EQ(got.t_divide.as_ns(), want.t_divide.as_ns());
-    EXPECT_EQ(got.e_maxfind.as_pJ(), want.e_maxfind.as_pJ());
-    EXPECT_EQ(got.e_subtract.as_pJ(), want.e_subtract.as_pJ());
-    EXPECT_EQ(got.e_exp.as_pJ(), want.e_exp.as_pJ());
-    EXPECT_EQ(got.e_sum.as_pJ(), want.e_sum.as_pJ());
-    EXPECT_EQ(got.e_divide.as_pJ(), want.e_divide.as_pJ());
+TEST(SoftmaxEngine, NonFiniteAndHugeScoresSaturateAtTheWindowEnds) {
+  // Scores are clamped into the operand window before the integer
+  // conversion, so +-inf and scores whose scaled value leaves the int64
+  // range read as the window's top and floor codes, like +-100 do.
+  const SoftmaxEngine eng(config_for(fxp::kMrpcFormat));  // window +-32
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto top = softmax_row(eng, std::vector<double>{100.0, 0.0, -1.0});
+  EXPECT_GT(top[0], 0.99);
+  EXPECT_EQ(top[1], 0.0);
+  EXPECT_EQ(top[2], 0.0);
+  for (const double big : {inf, 1e300, 2e18}) {
+    EXPECT_EQ(softmax_row(eng, std::vector<double>{big, 0.0, -1.0}), top) << big;
   }
-  // forward_codes on the member state updates it too.
-  const std::vector<std::int64_t> codes = {1, 200, 511};
-  (void)eng.forward_codes(codes);
-  EXPECT_EQ(eng.row_stats().elements, 3);
-  EXPECT_EQ(eng.row_stats().latency.as_ns(), eng.compute_row_stats(3).latency.as_ns());
+  const auto floor = softmax_row(eng, std::vector<double>{-100.0, 0.0, -1.0});
+  for (const double small : {-inf, -1e300, -2e18}) {
+    EXPECT_EQ(softmax_row(eng, std::vector<double>{small, 0.0, -1.0}), floor) << small;
+  }
+}
+
+TEST(SoftmaxEngine, NanScoreThrowsBeforeAnyFaultDraw) {
+  StarConfig cfg = config_for(fxp::kMrpcFormat);
+  cfg.cam_miss_prob = 0.1;
+  const SoftmaxEngine eng(cfg);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> row{0.5, -2.0, 3.0, 1.0};
+  SoftmaxRunState run(7);
+  std::vector<double> got(row.size());
+  for (const std::size_t at : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
+    std::vector<double> bad = row;
+    bad[at] = nan;
+    EXPECT_THROW(eng.softmax_row_into(bad, run, got), InvalidArgument) << at;
+  }
+  // The rejected rows consumed no fault samples.
+  eng.softmax_row_into(row, run, got);
+  SoftmaxRunState fresh(7);
+  std::vector<double> want(row.size());
+  eng.softmax_row_into(row, fresh, want);
+  EXPECT_EQ(got, want);
 }
 
 TEST(SoftmaxEngine, CostsGrowWithRowLength) {
@@ -311,9 +343,9 @@ std::string construction_error(const StarConfig& cfg) {
 
 TEST(SoftmaxEngine, RejectsBadInputs) {
   SoftmaxEngine eng(config_for(fxp::kCnewsFormat));
-  EXPECT_THROW(eng(std::vector<double>{}), InvalidArgument);
-  EXPECT_THROW(eng.forward_codes(std::vector<std::int64_t>{256}), InvalidArgument);
-  EXPECT_THROW(eng.forward_codes(std::vector<std::int64_t>{-1}), InvalidArgument);
+  EXPECT_THROW(softmax_row(eng, std::vector<double>{}), InvalidArgument);
+  EXPECT_THROW(forward_codes(eng, std::vector<std::int64_t>{256}), InvalidArgument);
+  EXPECT_THROW(forward_codes(eng, std::vector<std::int64_t>{-1}), InvalidArgument);
   EXPECT_THROW((void)eng.row_latency(0), InvalidArgument);
 
   // The configuration is validated before any member is sized from it: a
@@ -526,7 +558,7 @@ TEST_P(EngineOracleSweep, BitConsistentWithOracle) {
   for (int trial = 0; trial < 5; ++trial) {
     const auto row = in_window_row(fmt, 48, rng);
     const auto oracle = workload::quantized_softmax(row, fmt, eng.lut_frac_bits());
-    const auto got = eng(row);
+    const auto got = softmax_row(eng, row);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_NEAR(got[i], oracle[i], tol);
     }

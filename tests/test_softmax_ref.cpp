@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "nn/softmax_ref.hpp"
 #include "util/rng.hpp"
@@ -9,6 +12,12 @@
 
 namespace star::nn {
 namespace {
+
+std::vector<double> softmax(std::span<const double> x) {
+  std::vector<double> out(x.size());
+  softmax_into(x, out);
+  return out;
+}
 
 TEST(SoftmaxRef, SumsToOne) {
   Rng rng(1);
@@ -74,22 +83,27 @@ TEST(SoftmaxRef, OrderPreserving) {
   EXPECT_GT(p[2], p[0]);
 }
 
-TEST(SoftmaxRef, SoftmaxRowsAppliesPerRow) {
-  const auto x = Tensor::from_flat(2, 2, {0.0, 0.0, 0.0, 100.0});
-  const auto p = softmax_rows(x);
-  EXPECT_NEAR(p.at(0, 0), 0.5, 1e-12);
-  EXPECT_NEAR(p.at(1, 1), 1.0, 1e-12);
-}
-
 TEST(SoftmaxRef, EmptyRowRejected) {
   EXPECT_THROW(softmax(std::vector<double>{}), InvalidArgument);
   EXPECT_THROW(logsumexp(std::vector<double>{}), InvalidArgument);
 }
 
+TEST(SoftmaxRef, InPlaceMatchesOutOfPlace) {
+  // out may alias x.
+  const std::vector<double> x{0.3, -1.2, 2.5, 0.0};
+  const auto want = softmax(x);
+  std::vector<double> inplace = x;
+  softmax_into(inplace, inplace);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(inplace[i], want[i]);
+  }
+}
+
 TEST(SoftmaxRef, ExactSoftmaxAdapter) {
-  ExactSoftmax impl;
+  ExactSoftmaxInto impl;
   const std::vector<double> x{1.0, 2.0};
-  const auto p = impl(x);
+  std::vector<double> p(x.size());
+  impl(x, p);
   EXPECT_EQ(std::string(impl.name()), "exact");
   EXPECT_NEAR(p[0] + p[1], 1.0, 1e-12);
 }

@@ -10,6 +10,7 @@
 
 #include "nn/attention.hpp"
 #include "nn/softmax_ref.hpp"
+#include "nn/workspace.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -88,7 +89,9 @@ TEST(TraceGen, ScoreBatchShape) {
 TEST(TraceGen, QkvScoreStdApproximatelyControlled) {
   Rng rng(5);
   const auto t = random_qkv(64, 64, 4.0, rng);
-  const auto s = nn::attention_scores(t.q, t.k);
+  nn::Tensor s(64, 64);
+  nn::matmul_transb_into(nn::view_of(t.q), nn::view_of(t.k), nn::view_of(s));
+  nn::scale_inplace(nn::view_of(s), 1.0 / std::sqrt(64.0));
   EXPECT_NEAR(stddev(s.flat()), 4.0, 1.5);
 }
 
@@ -112,7 +115,8 @@ TEST(QuantizedSoftmax, NormalisedAndOrderPreserving) {
 TEST(QuantizedSoftmax, ApproachesExactWithWideFormat) {
   Rng rng(7);
   const auto row = DatasetProfile::cola().sample_row(64, rng);
-  const auto exact = nn::softmax(row);
+  std::vector<double> exact(row.size());
+  nn::softmax_into(row, exact);
   const auto q = quantized_softmax(row, fxp::make_unsigned(6, 6), 24);
   EXPECT_LT(max_abs_diff(exact, q), 2e-3);
 }

@@ -1,11 +1,14 @@
-// Arena-backed hot path: fused-kernel bit-identity against the allocating
-// nn:: reference spec, arena-vs-legacy encoder equivalence across sequence
-// lengths / stack depths / fault streams / thread counts, workspace reuse,
-// and the zero-allocation invariant of a warm functional request
-// (AllocCounter-pinned wherever STAR_ALLOC_AUDIT is live).
+// Arena-backed hot path: kernel bit-identity against the plain-loop
+// reference (tests/support/encoder_ref.hpp), the served encoder against
+// the same reference across sequence lengths / stack depths / fault
+// streams / thread counts, workspace reuse, and the zero-allocation
+// invariant of a warm functional request (AllocCounter-pinned wherever
+// STAR_ALLOC_AUDIT is live).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <vector>
@@ -14,10 +17,11 @@
 #include "core/softmax_engine.hpp"
 #include "nn/attention.hpp"
 #include "nn/bert.hpp"
-#include "nn/ops.hpp"
 #include "nn/softmax_ref.hpp"
 #include "nn/tensor.hpp"
 #include "nn/workspace.hpp"
+#include "support/encoder_ref.hpp"
+#include "support/softmax_row_ref.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -44,7 +48,7 @@ void expect_bits(const nn::Tensor& ref, nn::ConstTensorView got) {
 }
 
 nn::Tensor with_zeros(nn::Tensor t) {
-  // Exercise Tensor::matmul's skip-zero-operand branch in both paths.
+  // Exercise the matmuls' skip-zero-operand branch in both paths.
   t.at(0, 0) = 0.0;
   t.at(t.rows() - 1, t.cols() / 2) = 0.0;
   return t;
@@ -70,13 +74,13 @@ TEST(Workspace, BumpMarkRewindReset) {
   EXPECT_EQ(ws.capacity(), cap);  // reset keeps the high-water buffer
 }
 
-// ---------- fused kernels vs the allocating reference ----------
+// ---------- kernels vs the plain-loop reference ----------
 
-TEST(WorkspaceKernels, MatmulIntoBitIdenticalToTensorMatmul) {
+TEST(WorkspaceKernels, MatmulIntoBitIdenticalToReference) {
   Rng rng(21);
   const auto a = with_zeros(nn::Tensor::randn(5, 7, rng));
   const auto b = nn::Tensor::randn(7, 4, rng);
-  const auto ref = a.matmul(b);
+  const auto ref = testing_ref::matmul(a, b);
 
   nn::Workspace ws;
   ws.require_capacity(5 * 4);
@@ -89,7 +93,7 @@ TEST(WorkspaceKernels, MatmulTransbIntoMatchesMaterializedTranspose) {
   Rng rng(22);
   const auto a = with_zeros(nn::Tensor::randn(6, 5, rng));
   const auto b = nn::Tensor::randn(3, 5, rng);  // used as b^T: (5 x 3)
-  const auto ref = a.matmul(b.transposed());
+  const auto ref = testing_ref::matmul(a, b.transposed());
 
   nn::Workspace ws;
   ws.require_capacity(6 * 3);
@@ -141,7 +145,7 @@ TEST(WorkspaceKernels, MatmulTransbIntoBitIdenticalAcrossTileEdges) {
 TEST(WorkspaceKernels, LayerNormIntoMatchesAndRunsInPlace) {
   Rng rng(23);
   const auto x = nn::Tensor::randn(8, 16, rng, 5.0, 3.0);
-  const auto ref = nn::layer_norm(x);
+  const auto ref = testing_ref::layer_norm(x);
 
   nn::Workspace ws;
   ws.require_capacity(2 * 8 * 16);
@@ -164,7 +168,7 @@ TEST(WorkspaceKernels, AddIntoToleratesOutAliasingB) {
   Rng rng(24);
   const auto a = nn::Tensor::randn(4, 6, rng);
   const auto b = nn::Tensor::randn(4, 6, rng);
-  const auto ref = a + b;
+  const auto ref = testing_ref::add(a, b);
 
   nn::Workspace ws;
   ws.require_capacity(4 * 6);
@@ -183,14 +187,13 @@ TEST(WorkspaceKernels, MultiHeadAttentionIntoBitIdentical) {
   const auto w = nn::MhaWeights::random(2, 8, 4, rng);
   const auto x = nn::Tensor::randn(5, 8, rng);
 
-  nn::ExactSoftmax exact;
-  const auto ref = nn::multi_head_attention(x, w, exact);
+  nn::ExactSoftmaxInto exact;
+  const auto ref = testing_ref::multi_head_attention(x, w, exact);
 
   nn::Workspace ws;
   ws.require_capacity(1 << 12);
   const auto out = ws.alloc_view(5, 8);
-  nn::ExactSoftmaxInto exact_into;
-  nn::multi_head_attention_into(nn::view_of(x), w, exact_into, ws, out);
+  nn::multi_head_attention_into(nn::view_of(x), w, exact, ws, out);
   expect_bits(ref, out);
   // All attention scratch was rewound; only `out` remains allocated.
   EXPECT_EQ(ws.used(), 5u * 8u);
@@ -202,62 +205,75 @@ TEST(WorkspaceKernels, EncoderLayerIntoBitIdentical) {
   const auto x = nn::Tensor::randn(
       6, static_cast<std::size_t>(kTiny.d_model), rng);
 
-  nn::ExactSoftmax exact;
-  const auto ref = nn::encoder_layer_forward(x, w, exact);
+  nn::ExactSoftmaxInto exact;
+  const auto ref = testing_ref::encoder_layer(x, w, exact);
 
   nn::Workspace ws;
   ws.require_capacity(nn::encoder_workspace_doubles(kTiny, 6));
   const auto out =
       ws.alloc_view(6, static_cast<std::size_t>(kTiny.d_model));
-  nn::ExactSoftmaxInto exact_into;
-  nn::encoder_layer_forward_into(nn::view_of(x), w, exact_into, ws, out);
+  nn::encoder_layer_forward_into(nn::view_of(x), w, exact, ws, out);
   expect_bits(ref, out);
 }
 
 // ---------- SoA weight flattening ----------
 
 TEST(MhaWeights, FlatBlocksPreserveHistoricalDrawOrder) {
-  // head_w*(h) must reproduce exactly what the per-head layout drew: per
-  // head wq, wk, wv row-major from one continuing stream, then wo.
+  // Head h's column slice [h*d_k, (h+1)*d_k) of each flat block must hold
+  // exactly what the per-head layout drew: per head wq, wk, wv row-major
+  // from one continuing stream, then wo.
+  constexpr std::size_t kDk = 4;
   Rng rng(27);
-  const auto w = nn::MhaWeights::random(3, 12, 4, rng);
+  const auto w = nn::MhaWeights::random(3, 12, kDk, rng);
   Rng replay(27);
+  const double proj_std = 1.0 / std::sqrt(12.0);
   for (std::size_t h = 0; h < 3; ++h) {
-    const auto wq = w.head_wq(h);
-    const auto wk = w.head_wk(h);
-    const auto wv = w.head_wv(h);
-    for (const auto* m : {&wq, &wk, &wv}) {
-      for (std::size_t r = 0; r < m->rows(); ++r) {
-        for (std::size_t c = 0; c < m->cols(); ++c) {
-          EXPECT_EQ(m->at(r, c), replay.normal(0.0, 1.0 / std::sqrt(12.0)));
+    for (const nn::Tensor* flat : {&w.wq, &w.wk, &w.wv}) {
+      for (std::size_t r = 0; r < flat->rows(); ++r) {
+        for (std::size_t c = 0; c < kDk; ++c) {
+          EXPECT_EQ(flat->at(r, h * kDk + c), replay.normal(0.0, proj_std));
         }
       }
     }
   }
+  for (std::size_t r = 0; r < w.wo.rows(); ++r) {
+    for (std::size_t c = 0; c < w.wo.cols(); ++c) {
+      EXPECT_EQ(w.wo.at(r, c), replay.normal(0.0, proj_std));
+    }
+  }
 }
 
-// ---------- softmax engine: _into vs legacy, reseed ----------
+// ---------- softmax engine: staged reference, reseed ----------
 
-TEST(SoftmaxEngineInto, RowIntoBitIdenticalUnderFaultInjection) {
+TEST(SoftmaxEngineInto, RowIntoMatchesStagedReferenceUnderFaultInjection) {
+  // Real-valued rows: the engine's conditioning (round to the operand
+  // grid, clamp into the window) followed by the staged reference row.
   core::StarConfig cfg;
   cfg.cam_miss_prob = 0.1;
   const core::SoftmaxEngine engine(cfg);
+  testing_ref::SoftmaxRowRef staged(cfg);
+  const fxp::QFormat& fmt = engine.format();
+  const std::int64_t bias = std::int64_t{1} << (fmt.total_bits() - 1);
+  const std::int64_t top = (std::int64_t{1} << fmt.total_bits()) - 1;
 
   Rng rng(28);
-  core::SoftmaxRunState legacy(0xF00D);
   core::SoftmaxRunState arena(0xF00D);
+  Rng ref_rng(0xF00D);
   std::vector<double> out;
   for (int row = 0; row < 10; ++row) {
     std::vector<double> x(16);
-    for (auto& v : x) {
-      v = rng.normal(0.0, 2.0);
+    std::vector<std::int64_t> codes(x.size());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = rng.normal(0.0, 2.0);
+      const auto c = static_cast<std::int64_t>(round_half_even(x[i] / fmt.resolution()));
+      codes[i] = std::clamp<std::int64_t>(c + bias, 0, top);
     }
-    const auto ref = engine.softmax_row(x, legacy);
+    const auto ref = staged.row(codes, ref_rng);
     out.resize(x.size());
     engine.softmax_row_into(x, arena, out);
-    ASSERT_EQ(ref.size(), out.size());
     for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(std::memcmp(&ref[i], &out[i], sizeof(double)), 0);
+      const double want = std::ldexp(static_cast<double>(ref[i]), -engine.prob_frac_bits());
+      EXPECT_EQ(std::memcmp(&want, &out[i], sizeof(double)), 0);
     }
   }
 }
@@ -287,7 +303,7 @@ TEST(SoftmaxEngineInto, ReseedMatchesFreshState) {
   }
 }
 
-// ---------- arena encoder vs the legacy chain ----------
+// ---------- served encoder vs the plain-loop reference ----------
 
 core::StarConfig faulty_cfg(double miss) {
   core::StarConfig cfg;
@@ -295,7 +311,7 @@ core::StarConfig faulty_cfg(double miss) {
   return cfg;
 }
 
-TEST(ArenaEncoder, BitIdenticalToLegacyChainAcrossShapes) {
+TEST(ArenaEncoder, BitIdenticalToReferenceAcrossShapes) {
   for (const double miss : {0.0, 0.05}) {
     const core::BatchEncoderSim sim(faulty_cfg(miss), kTiny, 0xB127, 3);
     Rng rng(31);
@@ -304,12 +320,7 @@ TEST(ArenaEncoder, BitIdenticalToLegacyChainAcrossShapes) {
           seq, static_cast<std::size_t>(kTiny.d_model), rng);
       for (std::int64_t layers = 1; layers <= 3; ++layers) {
         const std::uint64_t seed = 0x5eed0 + static_cast<std::uint64_t>(layers);
-        // The legacy reference chain, rebuilt from allocating nn:: parts.
-        core::SoftmaxEngineView view(sim.softmax_engine(), seed);
-        nn::Tensor ref = nn::encoder_layer_forward(input, sim.layer_weights(0), view);
-        for (std::int64_t l = 1; l < layers; ++l) {
-          ref = nn::encoder_layer_forward(ref, sim.layer_weights(l), view);
-        }
+        const auto ref = testing_ref::encoder_on_star(sim, input, seed, layers);
         const auto got = sim.run_encoder_one(input, seed, layers);
         EXPECT_TRUE(nn::Tensor::bit_identical(ref, got))
             << "miss=" << miss << " seq=" << seq << " layers=" << layers;

@@ -21,11 +21,14 @@ runtime half is util/contract.hpp's STAR_CONTRACT layer):
                      dependency the tests pin. Bare member declarations
                      are allowed only when the surrounding file (or the
                      header's sibling .cpp) visibly initialises them.
-  const-compute-entry the engines' compute entry points keep at least one
-                     const overload — the shared-engine / per-run-state
-                     split (PR 1) that makes B sequences on T threads
-                     bit-identical to sequential runs. Losing the const
-                     overload silently reintroduces shared mutable state.
+  const-compute-entry the engines' compute entry points exist and keep at
+                     least one const overload — the shared-engine /
+                     per-run-state split that makes B sequences on T
+                     threads bit-identical to sequential runs. Losing the
+                     const overload silently reintroduces shared mutable
+                     state; a listed entry point that is missing from its
+                     header is a violation too (a rename must update the
+                     list, or the rule would stop checking anything).
   determinism-doc    headers declaring an engine-like class (…Engine,
                      …Sim, …Manager, …Server, …Scheduler, …Cluster)
                      document their determinism story (the docstring must
@@ -227,17 +230,17 @@ def default_sibling_loader(path: str) -> Optional[str]:
 # Rule: const-compute-entry
 # --------------------------------------------------------------------------
 
-# (header suffix -> compute entry points): each listed method must keep at
-# least one const-qualified declaration in that header. Mutable legacy
-# overloads may coexist; what must never disappear is the const datapath.
+# (header suffix -> compute entry points): each listed method must be
+# declared in that header, with at least one const-qualified declaration.
 CONST_ENTRY_POINTS = {
     "src/core/matmul_engine.hpp": ["multiply", "stream_cost"],
     "src/core/sharded_matmul.hpp": ["stream_cost"],
-    "src/core/softmax_engine.hpp": ["softmax_row"],
+    "src/core/softmax_engine.hpp": ["softmax_row_into", "forward_codes_into"],
     "src/core/batch_encoder.hpp": [
-        "run_encoder_one", "run_attention_one", "run_analytic_one"],
-    "src/xbar/cam.hpp": ["search"],
-    "src/xbar/cam_sub.hpp": ["find_max"],
+        "run_encoder_one", "run_encoder_one_into", "run_attention_one",
+        "run_analytic_one"],
+    "src/xbar/cam.hpp": ["search_row", "search_into"],
+    "src/xbar/cam_sub.hpp": ["find_max_into", "max_subtract_into"],
 }
 
 
@@ -277,8 +280,11 @@ def rule_const_compute_entry(path: str, text: str, code: str) -> List[Violation]
     for method in methods:
         trailers = _declaration_trailers(code, method)
         if not trailers:
-            continue  # method gone entirely — renames are the tests' problem
-        if not any(re.search(r"\bconst\b", t) for t in trailers):
+            found.append(Violation(
+                path, 1, "const-compute-entry",
+                f"compute entry point '{method}' is not declared in {norm}; "
+                "update CONST_ENTRY_POINTS if it was renamed"))
+        elif not any(re.search(r"\bconst\b", t) for t in trailers):
             found.append(Violation(
                 path, 1, "const-compute-entry",
                 f"no const-qualified overload of '{method}' left in {norm}; "
@@ -460,6 +466,10 @@ _FIXTURES: List[Tuple[str, str, str, Optional[str]]] = [
      "  int multiply(int x);\n  int multiply(int x, int rng) const;\n"
      "  int stream_cost(int b) const;\n};\n",
      "", None),
+    ("src/core/matmul_engine.hpp",
+     "struct Deterministic_MatmulEngine {\n"
+     "  int stream_cost(int b) const;\n};\n",
+     "const-compute-entry", None),
     ("src/fake/bad_engine_doc.hpp",
      "// A header with no docs about reproducibility.\n"
      "class FooEngine { public: int run(); };\n", "determinism-doc", None),
