@@ -4,7 +4,6 @@
 // profiles, and report output fidelity.
 //
 //   $ ./bert_attention
-#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -22,22 +21,17 @@
 
 namespace {
 
-/// One attention head, softmax(Q K^T / sqrt(d_k)) V, on the nn kernels
-/// with a pluggable row softmax.
+/// One attention head, softmax(Q K^T / sqrt(d_k)) V, on the streamed nn
+/// kernel with a pluggable row softmax.
 star::nn::Tensor one_head(const star::workload::QkvTriple& qkv,
                           star::nn::RowSoftmaxInto& softmax) {
   using namespace star;
-  const std::size_t seq = qkv.q.rows();
-  nn::Tensor scores(seq, qkv.k.rows());
-  nn::Tensor probs(seq, qkv.k.rows());
-  nn::Tensor out(seq, qkv.v.cols());
-  nn::matmul_transb_into(nn::view_of(qkv.q), nn::view_of(qkv.k), nn::view_of(scores));
-  nn::scale_inplace(nn::view_of(scores),
-                    1.0 / std::sqrt(static_cast<double>(qkv.q.cols())));
-  for (std::size_t r = 0; r < seq; ++r) {
-    softmax(scores.row(r), probs.row(r));
-  }
-  nn::matmul_into(nn::view_of(probs), nn::view_of(qkv.v), nn::view_of(out));
+  const std::size_t seq = qkv.k.rows();
+  nn::Workspace ws;
+  ws.require_capacity(qkv.q.cols() * seq + 2 * seq);
+  nn::Tensor out(qkv.q.rows(), qkv.v.cols());
+  nn::scaled_dot_attention_into(nn::view_of(qkv.q), nn::view_of(qkv.k), nn::view_of(qkv.v),
+                                softmax, ws, nn::view_of(out));
   return out;
 }
 

@@ -94,35 +94,6 @@ void SoftermaxUnit::operator()(std::span<const double> x, std::span<double> out)
   }
 }
 
-std::vector<double> SoftermaxUnit::offline(std::span<const double> x) const {
-  require(!x.empty(), "SoftermaxUnit::offline: empty row");
-  const double in_step = 0.25;
-  std::vector<double> xp(x.size());
-  double m = -1e300;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    xp[i] = round_half_even(x[i] * kLog2E / in_step) * in_step;
-    m = std::max(m, std::ceil(xp[i]));
-  }
-  double s = 0.0;
-  std::vector<double> e(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double d = xp[i] - m;
-    const double d_int = std::floor(d);
-    const double d_frac = d - d_int;
-    e[i] =
-        (d_frac == 0.0)
-            ? std::ldexp(1.0, static_cast<int>(d_int))
-            : std::ldexp(pow2_quant(d_frac - 1.0), static_cast<int>(d_int) + 1);
-    s += e[i];
-  }
-  const double out_step = std::ldexp(1.0, -cfg_.output_bits);
-  std::vector<double> p(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    p[i] = round_half_even(e[i] / s / out_step) * out_step;
-  }
-  return p;
-}
-
 Area SoftermaxUnit::area() const {
   const double lanes = cfg_.lanes;
   return lane_.area * lanes + div_lane_.area * lanes + regs_.area * lanes;

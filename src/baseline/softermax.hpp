@@ -11,7 +11,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
@@ -37,10 +36,6 @@ class SoftermaxUnit final : public nn::RowSoftmaxInto {
   /// a caller span of x.size().
   void operator()(std::span<const double> x, std::span<double> out) override;
   [[nodiscard]] const char* name() const override { return "softermax"; }
-
-  /// Offline (two-pass) reference of the same arithmetic; the online pass
-  /// must match it exactly — a property test enforces this.
-  [[nodiscard]] std::vector<double> offline(std::span<const double> x) const;
 
   // --- cost ---
   [[nodiscard]] Area area() const;

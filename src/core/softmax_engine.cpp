@@ -1,6 +1,7 @@
 #include "core/softmax_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "hw/adc.hpp"
@@ -71,11 +72,17 @@ SoftmaxEngine::SoftmaxEngine(const StarConfig& cfg)
   }
   exp_cam_.fill(cam_codes);
   exp_lut_.fill(lut_words);
-  // The datapath resolves each CAM search to its one matchline through the
-  // code->row index; both CAMs hold a bijective preload, so no search can
-  // raise two lines.
+  // Both CAMs hold a bijective preload, so no search can raise two lines,
+  // and the exp stage resolves each search to row == magnitude: check that
+  // the preload really is the identity (a search at miss_prob 0 draws
+  // nothing).
   STAR_ASSERT(cam_sub_.unique_codes() && exp_cam_.unique_codes(),
               "SoftmaxEngine: CAM preloads must store pairwise distinct codes");
+  Rng no_draws(0);
+  for (int r = 0; r < exp_cam_.rows(); ++r) {
+    STAR_ASSERT(exp_cam_.search_row(r, 0.0, no_draws) == r,
+                "SoftmaxEngine: exp CAM row r must store magnitude r");
+  }
   // Every exp CAM matchline drives one LUT wordline and one counter, so
   // the datapath indexes both with the matched row unchecked.
   STAR_ASSERT(exp_lut_.rows() == exp_cam_.rows() && counters_.rows() == exp_cam_.rows(),
@@ -133,20 +140,28 @@ void SoftmaxEngine::forward_codes_into(std::span<const std::int64_t> codes,
   hw::CounterArray& counters = *scratch.counters;
   counters.reset();
   // Magnitudes are >= 0 (stage 1 saturates at zero) and at most 2^b (a
-  // missed search), so every one below the exp CAM's row count is a valid
-  // search code. The identity preload (row r stores code r) is bijective,
-  // so each search resolves its one matchline — and its fault draw — in
-  // O(1), and the matched row indexes the LUT and the counters directly.
+  // missed search). The identity preload stores magnitude r on row r, so a
+  // magnitude below the exp CAM's row count raises exactly its own
+  // matchline, which drives the LUT wordline and the counter of that row;
+  // any larger one raises none and reads a discharged (zero) LUT word.
+  // The searches' fault samples come first, in one pass: one per search
+  // that raises a matchline, in element order (none when miss_prob == 0);
+  // a missed search is parked as magnitude exp_rows, i.e. no matchline.
   const std::int64_t exp_rows = exp_cam_.rows();
+  if (miss_prob > 0.0) {
+    for (std::int64_t& w : words) {
+      if (-w < exp_rows && run.rng.bernoulli(miss_prob)) {
+        w = -exp_rows;
+      }
+    }
+  }
   for (std::int64_t& w : words) {
     const std::int64_t mag = -w;
-    std::int64_t e_word = 0;  // no matchline: the LUT bitlines stay discharged
+    std::int64_t e_word = 0;
     if (mag < exp_rows) {
-      const int row = exp_cam_.search_row_unchecked(mag, miss_prob, run.rng);
-      if (row >= 0) {
-        e_word = exp_lut_.word_at_unchecked(row);
-        counters.accumulate_row_unchecked(row);
-      }
+      const auto row = static_cast<int>(mag);
+      e_word = exp_lut_.word_at_unchecked(row);
+      counters.accumulate_row_unchecked(row);
     }
     w = e_word;
   }
@@ -172,31 +187,44 @@ void SoftmaxEngine::softmax_row_into(std::span<const double> x,
   // Values below the window floor are exactly the ones whose exponential
   // underflows. res is 2^-frac_bits, so x * 2^frac_bits is exactly x / res
   // (both are the correctly rounded value of the same real) without a
-  // divide. The clamp runs on the double, before the integer conversion,
-  // so +-inf and scores beyond the int64 range saturate like any other
-  // out-of-window score.
+  // divide. The clamp runs on the double, before rounding (clamping to
+  // integer bounds commutes with rounding half to even), so +-inf and
+  // scores beyond the int64 range saturate like any other out-of-window
+  // score. The rounding is one add: the clamped value plus 1.5 * 2^52
+  // lands on the integer grid by the FPU's own ties-to-even rule, and the
+  // integer is the low mantissa bits. Every such sum shares one
+  // sign/exponent field and a NaN (which the clamp passes through) has the
+  // all-ones one, so OR-ing the bit patterns finds a NaN without a branch:
+  // the conditioning is a straight loop over the row.
+  constexpr double kRound = 0x1.8p52;
+  constexpr auto kRoundBits = std::bit_cast<std::uint64_t>(kRound);
   const double inv_res = std::ldexp(1.0, fmt_.frac_bits);
   const std::int64_t bias = std::int64_t{1} << (fmt_.total_bits() - 1);
   const double lo = -static_cast<double>(bias);
   const double hi = static_cast<double>(bias - 1);
   scratch.codes.resize(x.size());
-  bool nan = false;
+  std::uint64_t seen = 0;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    const double v = round_half_even(x[i] * inv_res);
-    nan |= std::isnan(v);
-    // A NaN fails both comparisons and lands on the floor; the row then
-    // throws below, so no NaN code ever reaches the datapath.
-    const double c = v > lo ? std::min(v, hi) : lo;
-    scratch.codes[i] = static_cast<std::int64_t>(c) + bias;
+    const auto bits =
+        std::bit_cast<std::uint64_t>(std::min(std::max(x[i] * inv_res, lo), hi) + kRound);
+    seen |= bits;
+    scratch.codes[i] = static_cast<std::int64_t>(bits - kRoundBits) + bias;
   }
-  require(!nan, "SoftmaxEngine: NaN score in row");
+  // A NaN's code is garbage, but the row throws here, so it never reaches
+  // the datapath.
+  require((seen >> 52) == (kRoundBits >> 52), "SoftmaxEngine: NaN score in row");
 
   // Probability codes land in scratch, then scale into the output span.
+  // A code below 2^52 ORed into 2^52's mantissa is 2^52 + code exactly,
+  // so the conversion is one subtraction (and the loop stays straight).
   scratch.prob_codes.resize(x.size());
   forward_codes_into(scratch.codes, run, scratch.prob_codes);
+  constexpr double kTwo52 = 0x1.0p52;
+  constexpr auto kTwo52Bits = std::bit_cast<std::uint64_t>(kTwo52);
   const double inv = std::ldexp(1.0, -prob_frac_bits_);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    out[i] = static_cast<double>(scratch.prob_codes[i]) * inv;
+    const auto code = static_cast<std::uint64_t>(scratch.prob_codes[i]);
+    out[i] = (std::bit_cast<double>(code | kTwo52Bits) - kTwo52) * inv;
   }
 }
 

@@ -35,6 +35,20 @@ void Divider::divide_row(std::span<const std::int64_t> nums, std::int64_t den,
     std::fill(out.begin(), out.end(), saturated());
     return;
   }
+  // sign_bits also bounds every operand. When each shifted numerator (and
+  // den) is below 2^53, both are exact doubles and the correctly rounded
+  // quotient truncates to the integer one: a non-integral n / d sits at
+  // least 1/d below the next integer, more than half an ulp of n / d for
+  // n < 2^53, so rounding never reaches it.
+  if ((sign_bits >> (53 - frac_out_bits)) == 0) {
+    const auto d = static_cast<double>(den);
+    for (std::size_t i = 0; i < nums.size(); ++i) {
+      const auto q = static_cast<std::int64_t>(
+          static_cast<double>(nums[i] << frac_out_bits) / d);
+      out[i] = q > saturated() ? saturated() : q;
+    }
+    return;
+  }
   for (std::size_t i = 0; i < nums.size(); ++i) {
     out[i] = quotient(nums[i], den, frac_out_bits);
   }

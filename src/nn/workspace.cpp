@@ -225,6 +225,93 @@ void gelu_inplace(TensorView x) {
   }
 }
 
+namespace {
+
+/// Output columns [0, W) of one streamed row against b (k x W, row
+/// stride `stride`): out[c] = (sum over ascending k of a[k] * b(k, c)) *
+/// scale. The W partial sums start at +0.0 and stay in registers over
+/// the k sweep; a zero a[k] is skipped. That is matmul_into's rule
+/// (zero-filled output, ascending k, same skip), so each element rounds
+/// exactly as there; the scale is one multiply at the store, as
+/// scale_inplace applies it afterwards, and x * 1.0 is x bit for bit.
+template <std::size_t W>
+void row_block(const double* a, std::size_t nk, const double* b, std::size_t stride,
+               double scale, double* out) {
+  double acc[W];
+  for (std::size_t c = 0; c < W; ++c) {
+    acc[c] = 0.0;
+  }
+  for (std::size_t k = 0; k < nk; ++k) {
+    const double av = a[k];
+    if (av == 0.0) {
+      continue;
+    }
+    const double* brow = b + k * stride;
+    for (std::size_t c = 0; c < W; ++c) {
+      acc[c] += av * brow[c];
+    }
+  }
+  for (std::size_t c = 0; c < W; ++c) {
+    out[c] = acc[c] * scale;
+  }
+}
+
+/// out = (a * b) * scale for one row a (b.rows values): 16-, 8- and
+/// 4-column register blocks, then single columns.
+void row_product(const double* a, ConstTensorView b, double scale, double* out) {
+  std::size_t j = 0;
+  for (; j + 16 <= b.cols; j += 16) {
+    row_block<16>(a, b.rows, b.data + j, b.stride, scale, out + j);
+  }
+  if (j + 8 <= b.cols) {
+    row_block<8>(a, b.rows, b.data + j, b.stride, scale, out + j);
+    j += 8;
+  }
+  if (j + 4 <= b.cols) {
+    row_block<4>(a, b.rows, b.data + j, b.stride, scale, out + j);
+    j += 4;
+  }
+  for (; j < b.cols; ++j) {
+    row_block<1>(a, b.rows, b.data + j, b.stride, scale, out + j);
+  }
+}
+
+}  // namespace
+
+// STAR_HOT
+void scaled_dot_attention_into(ConstTensorView q, ConstTensorView k, ConstTensorView v,
+                               RowSoftmaxInto& softmax_impl, Workspace& ws,
+                               TensorView out) {
+  STAR_ASSERT(q.cols == k.cols, "scaled_dot_attention_into: Q/K width mismatch");
+  STAR_ASSERT(k.rows == v.rows, "scaled_dot_attention_into: K/V length mismatch");
+  STAR_ASSERT(out.rows == q.rows && out.cols == v.cols,
+              "scaled_dot_attention_into: output shape mismatch");
+  const std::size_t d_k = q.cols;
+  const std::size_t len = k.rows;
+  const std::size_t scratch_mark = ws.mark();
+
+  // K^T once (d_k x len), so the score row kernel reads contiguous
+  // doubles; then one score row and one probability row, reused by every
+  // query row.
+  const TensorView kt = ws.alloc_view(d_k, len);
+  for (std::size_t j = 0; j < len; ++j) {
+    for (std::size_t c = 0; c < d_k; ++c) {
+      kt.at(c, j) = k.at(j, c);
+    }
+  }
+  double* scores = ws.alloc(len);
+  double* probs = ws.alloc(len);
+  const double scale = 1.0 / std::sqrt(static_cast<double>(d_k));
+  // Rows in ascending order: the fault-RNG draw order of the payload
+  // contract. Each row goes score -> softmax -> context before the next.
+  for (std::size_t r = 0; r < q.rows; ++r) {
+    row_product(q.data + r * q.stride, kt, scale, scores);
+    softmax_impl(std::span<const double>(scores, len), std::span<double>(probs, len));
+    row_product(probs, v, 1.0, out.data + r * out.stride);
+  }
+  ws.rewind(scratch_mark);
+}
+
 // STAR_HOT
 void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
                                RowSoftmaxInto& softmax_impl, Workspace& ws,
@@ -249,23 +336,13 @@ void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
   matmul_into(x, view_of(w.wk), k);
   matmul_into(x, view_of(w.wv), v);
 
-  // Per-head scratch is shared across heads; the context lands directly in
-  // its concat column block.
+  // Heads in ascending order, each streamed row by row; the context lands
+  // directly in its concat column block.
   const TensorView ctx = ws.alloc_view(seq, d_qkv);
-  const TensorView scores = ws.alloc_view(seq, seq);
-  const TensorView probs = ws.alloc_view(seq, seq);
   for (std::size_t h = 0; h < heads; ++h) {
-    const ConstTensorView qh = q.block_cols(h * d_k, d_k);
-    const ConstTensorView kh = k.block_cols(h * d_k, d_k);
-    const ConstTensorView vh = v.block_cols(h * d_k, d_k);
-    matmul_transb_into(qh, kh, scores);
-    scale_inplace(scores, 1.0 / std::sqrt(static_cast<double>(d_k)));
-    // Rows in ascending order: the fault-RNG draw order of the payload
-    // contract.
-    for (std::size_t r = 0; r < seq; ++r) {
-      softmax_impl(scores.row(r), probs.row(r));
-    }
-    matmul_into(probs, vh, TensorView{ctx.data + h * d_k, seq, d_k, ctx.stride});
+    const TensorView ctx_h{ctx.data + h * d_k, seq, d_k, ctx.stride};
+    scaled_dot_attention_into(q.block_cols(h * d_k, d_k), k.block_cols(h * d_k, d_k),
+                              v.block_cols(h * d_k, d_k), softmax_impl, ws, ctx_h);
   }
   matmul_into(ctx, view_of(w.wo), out);
   ws.rewind(scratch_mark);
@@ -304,14 +381,17 @@ std::size_t encoder_workspace_doubles(const BertConfig& bert,
   const auto seq = max_seq_len;
   const auto d_model = static_cast<std::size_t>(bert.d_model);
   const auto d_ff = static_cast<std::size_t>(bert.d_ff);
-  // Ping-pong chain buffers + one layer's peak scratch, summed without the
-  // mark/rewind savings (attention and FFN scratch never coexist) — a safe
-  // upper bound that stays stack-depth independent.
+  const auto d_k = static_cast<std::size_t>(bert.d_head());
+  // Ping-pong chain buffers + the attention residual, then the larger of
+  // the two scratch phases that follow it: attention (fused Q/K/V, the
+  // context, one head's K^T and its score and probability rows) and the
+  // FFN (both intermediates). Each phase is rewound before the next, so
+  // this is the exact peak, and it is stack-depth independent.
   const std::size_t chain = 2 * seq * d_model;
   const std::size_t residual = seq * d_model;
-  const std::size_t mha = 4 * seq * d_model + 2 * seq * seq;
+  const std::size_t mha = 4 * seq * d_model + d_k * seq + 2 * seq;
   const std::size_t ffn = seq * d_ff + seq * d_model;
-  return chain + residual + mha + ffn;
+  return chain + residual + std::max(mha, ffn);
 }
 
 }  // namespace star::nn

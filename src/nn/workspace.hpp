@@ -11,13 +11,17 @@
 //    arena (or Tensor) storage, so column slices of a fused SoA weight
 //    block or of a shared Q/K/V buffer are first-class operands.
 //  * *_into kernels — the one entry point of each functional op (matmul,
-//    transposed-operand matmul, scale, add, layer norm, GELU, multi-head
-//    attention, encoder layer), writing into caller views. Softmax rows go
-//    through nn::RowSoftmaxInto. The output bits are the repo's payload
-//    contract: every matmul element accumulates over ascending k and skips
-//    a zero left operand, and layer norm uses util mean/stddev. The
-//    plain-loop test reference (tests/support/encoder_ref.hpp) and the
-//    cross-build goldens (tests/golden/payload_hashes.csv) pin them.
+//    transposed-operand matmul, scale, add, layer norm, GELU, one
+//    attention head, multi-head attention, encoder layer), writing into
+//    caller views. Softmax rows go through nn::RowSoftmaxInto. Attention
+//    is streamed: each head's rows run score row -> softmax -> context row
+//    in reference order (heads, then rows, ascending), so its scratch is
+//    linear in L and no L x L matrix is ever built. The output bits are
+//    the repo's payload contract: every matmul element accumulates over
+//    ascending k and skips a zero left operand, and layer norm uses util
+//    mean/stddev. The plain-loop test reference
+//    (tests/support/encoder_ref.hpp) and the cross-build goldens
+//    (tests/golden/payload_hashes.csv) pin them.
 //
 // Aliasing rules: add_into(a, b, out) may alias b/out (per-element read
 // happens before the write at the same index); layer_norm_into may run in
@@ -136,10 +140,24 @@ void layer_norm_into(ConstTensorView x, TensorView out, double eps = 1e-12);
 /// Element-wise exact GELU in place: x * Phi(x).
 void gelu_inplace(TensorView x);
 
+/// One attention head, softmax(q k^T / sqrt(d_k)) v, streamed row by row
+/// into a caller view: k^T is transposed once into arena scratch, then
+/// each query row in ascending order builds its score row (scaled at the
+/// store), runs it through `softmax_impl` and writes its context row
+/// straight into `out`. Arena scratch is d_k * k.rows + 2 * k.rows
+/// doubles, rewound before returning; no k.rows x k.rows matrix exists.
+/// Each element rounds exactly as matmul_into + scale_inplace +
+/// matmul_into over whole matrices would (ascending k, zero skip, +0.0
+/// start). `out` must not alias an input.
+void scaled_dot_attention_into(ConstTensorView q, ConstTensorView k, ConstTensorView v,
+                               RowSoftmaxInto& softmax_impl, Workspace& ws,
+                               TensorView out);
+
 /// Multi-head attention into a caller view, with every intermediate (fused
-/// Q/K/V, per-head scores/probabilities, context) in arena scratch that is
-/// rewound before returning: softmax(Q K^T / sqrt(d_k)) V per head, rows
-/// in ascending order, heads concatenated and projected by Wo.
+/// Q/K/V, context, the per-head rows of scaled_dot_attention_into) in
+/// arena scratch that is rewound before returning: heads in ascending
+/// order, rows ascending within a head (the fault-RNG order), contexts
+/// concatenated and projected by Wo.
 void multi_head_attention_into(ConstTensorView x, const MhaWeights& w,
                                RowSoftmaxInto& softmax_impl, Workspace& ws,
                                TensorView out);
@@ -152,12 +170,13 @@ void encoder_layer_forward_into(ConstTensorView x, const EncoderLayerWeights& w,
                                 RowSoftmaxInto& softmax_impl, Workspace& ws,
                                 TensorView out);
 
-/// Arena sizing rule: an upper bound on the doubles a full encoder-layer
-/// chain needs at sequence length <= max_seq_len — two L x d_model
-/// ping-pong buffers for the layer chain, plus one layer's peak scratch
-/// (attention residual + fused Q/K/V/context + score/probability matrices
-/// + FFN intermediates). Stack-depth independent: every layer reuses the
-/// same scratch via mark()/rewind().
+/// Arena sizing rule: the exact peak doubles a full encoder-layer chain
+/// needs at sequence length <= max_seq_len, linear in L — two L x d_model
+/// ping-pong buffers for the layer chain, the L x d_model attention
+/// residual, then the larger of the attention scratch (fused Q/K/V and
+/// context, 4 L x d_model, plus one head's d_k x L K^T and two L-long
+/// rows) and the FFN scratch (L x d_ff + L x d_model). Stack-depth
+/// independent: every layer reuses the same scratch via mark()/rewind().
 [[nodiscard]] std::size_t encoder_workspace_doubles(const BertConfig& bert,
                                                     std::size_t max_seq_len);
 

@@ -16,8 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -30,23 +28,6 @@ Rng::Rng(std::uint64_t seed) {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) {
     s_[0] = 1;
   }
-}
-
-Rng::result_type Rng::operator()() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 random mantissa bits -> uniform in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -91,8 +72,6 @@ double Rng::normal(double mean, double stddev) { return mean + stddev * normal()
 double Rng::lognormal_factor(double sigma_log) {
   return std::exp(sigma_log * normal());
 }
-
-bool Rng::bernoulli(double p_true) { return uniform() < p_true; }
 
 std::vector<double> Rng::normal_vector(std::size_t n, double mean, double stddev) {
   std::vector<double> out(n);

@@ -24,11 +24,22 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
-  /// Next raw 64-bit value.
-  result_type operator()();
+  /// Next raw 64-bit value. Inline, with uniform() and bernoulli(): the
+  /// per-element fault draws of the softmax datapath run them in loops.
+  result_type operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
@@ -47,7 +58,7 @@ class Rng {
   double lognormal_factor(double sigma_log);
 
   /// Bernoulli trial.
-  bool bernoulli(double p_true);
+  bool bernoulli(double p_true) { return uniform() < p_true; }
 
   /// A vector of n independent normal(mean, stddev) samples.
   std::vector<double> normal_vector(std::size_t n, double mean, double stddev);
@@ -56,6 +67,8 @@ class Rng {
   Rng fork();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   std::uint64_t s_[4];
   bool has_spare_ = false;
   double spare_ = 0.0;

@@ -14,7 +14,6 @@
 
 #include "hw/component.hpp"
 #include "hw/tech.hpp"
-#include "util/contract.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "xbar/device.hpp"
@@ -60,17 +59,6 @@ class CamCrossbar {
     require(code >= 0 && code < (std::int64_t{1} << bits_),
             "CamCrossbar::search: code out of range");
     STAR_ASSERT(unique_codes_, "CamCrossbar::search_row: requires unique stored codes");
-    return search_row_unchecked(code, miss_prob, rng);
-  }
-
-  /// search_row for a code the caller has already range-checked (once per
-  /// row, not per element). Inline: it runs once per softmax element.
-  [[nodiscard]] int search_row_unchecked(std::int64_t code, double miss_prob,
-                                         Rng& rng) const {
-    STAR_CONTRACT(code >= 0 && code < (std::int64_t{1} << bits_),
-                  "CamCrossbar::search_row_unchecked: code out of range");
-    STAR_CONTRACT(unique_codes_,
-                  "CamCrossbar::search_row_unchecked: requires unique stored codes");
     const std::int32_t r = row_of_code_[static_cast<std::size_t>(code)];
     if (r < 0) {
       return -1;

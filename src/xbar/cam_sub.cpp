@@ -4,7 +4,6 @@
 
 #include "hw/gates.hpp"
 #include "hw/sense_amp.hpp"
-#include "util/contract.hpp"
 #include "util/status.hpp"
 
 namespace star::xbar {
@@ -21,8 +20,8 @@ CamSubCrossbar::CamSubCrossbar(const hw::TechNode& tech, RramDevice device, int 
     codes[r] = static_cast<std::int64_t>(codes.size() - 1 - r);
   }
   cam_.fill(codes);
-  // find_max_into resolves one matchline per search through the CAM's
-  // code->row index, which exists only for a bijective preload.
+  // search_all relies on every operand code being stored on exactly one
+  // row (row_of), which the bijective preload guarantees.
   STAR_ASSERT(cam_.unique_codes(), "CamSubCrossbar: descending preload must be bijective");
 
   const hw::GateLibrary lib(tech);
@@ -54,14 +53,13 @@ int CamSubCrossbar::row_of(std::int64_t code) const {
   return rows() - 1 - static_cast<int>(code);
 }
 
-template <typename OnSearch>
-int CamSubCrossbar::search_all(std::span<const std::int64_t> codes, double miss_prob,
-                               Rng& rng, OnSearch&& on_search) const {
+template <typename T>
+std::int64_t CamSubCrossbar::search_all(std::span<const std::int64_t> codes, double miss_prob,
+                                        Rng& rng, std::span<T> sensed) const {
   require(!codes.empty(), "CamSubCrossbar max-find: empty input");
   require(miss_prob >= 0.0 && miss_prob <= 1.0,
           "CamSubCrossbar max-find: miss_prob in [0, 1]");
-  // Operand range, checked once per row, so the searches below index the
-  // CAM unchecked.
+  // Operand range, checked once per row.
   std::int64_t lo = codes[0];
   std::int64_t hi = codes[0];
   for (const std::int64_t c : codes) {
@@ -70,24 +68,34 @@ int CamSubCrossbar::search_all(std::span<const std::int64_t> codes, double miss_
   }
   require(lo >= 0 && hi < rows(), "CamSubCrossbar max-find: code out of operand range");
 
-  // The descending preload is bijective, so each search raises at most one
-  // matchline: search_row_unchecked resolves it (and draws its one fault
-  // sample) in O(1). The OR merge sets that line; the priority encoder's
-  // first set line is the smallest matched row, tracked as the searches go
-  // (a miss, -1, compares as the largest unsigned value).
-  auto first_row = static_cast<unsigned>(rows());
+  // The descending preload stores every operand code, once, so each search
+  // raises exactly its own code's matchline. Its fault samples are drawn
+  // in one pass, one per search in input order (none when miss_prob == 0);
+  // the searches themselves then reduce to straight passes over the codes.
   for (std::size_t i = 0; i < codes.size(); ++i) {
-    const int row = cam_.search_row_unchecked(codes[i], miss_prob, rng);
-    STAR_CONTRACT(row >= 0 || miss_prob > 0.0,
-                  "CamSubCrossbar max-find: every preloaded code must match");
-    on_search(i, row);
-    first_row = std::min(first_row, static_cast<unsigned>(row));
+    sensed[i] = static_cast<T>(codes[i]);
   }
-  if (first_row == static_cast<unsigned>(rows())) {
+  if (miss_prob > 0.0) {
+    for (T& c : sensed) {
+      if (rng.bernoulli(miss_prob)) {
+        c = -1;
+      }
+    }
+  }
+  // OR merge + priority encode: the first set line of the descending
+  // preload is the largest sensed code (a miss, -1, never wins).
+  std::int64_t max_code = -1;
+  for (const T c : sensed) {
+    max_code = std::max<std::int64_t>(max_code, c);
+  }
+  return max_code;
+}
+
+void CamSubCrossbar::require_a_match(std::int64_t max_code) {
+  if (max_code < 0) {
     throw SimulationError(
         "CamSubCrossbar max-find: every search missed; no matchline to encode");
   }
-  return static_cast<int>(first_row);
 }
 
 // STAR_HOT
@@ -96,16 +104,12 @@ void CamSubCrossbar::max_subtract_into(std::span<const std::int64_t> codes,
                                        std::span<std::int64_t> out) const {
   STAR_ASSERT(out.size() == codes.size(),
               "CamSubCrossbar::max_subtract_into: output span length mismatch");
-  // Phase A parks each matched row (-1 = miss) in `out`; phase B overwrites
+  // Phase A parks each sensed code (-1 = miss) in `out`; phase B overwrites
   // it with the SL output once the priority encoder has elected x_max.
-  const int max_row = search_all(codes, miss_prob, rng,
-                                 [&](std::size_t i, int row) { out[i] = row; });
-  // Priority encode: first set line == largest code (descending preload).
-  const std::int64_t max_code = rows() - 1 - max_row;
-  // The bijective preload stores x_i on x_i's matched row, so the row's
-  // code is the input code itself.
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    out[i] = out[i] < 0 ? missed_read() : sub_read(codes[i], max_code);
+  const std::int64_t max_code = search_all(codes, miss_prob, rng, out);
+  require_a_match(max_code);
+  for (std::int64_t& o : out) {
+    o = o < 0 ? missed_read() : sub_read(o, max_code);
   }
 }
 
@@ -118,16 +122,19 @@ void CamSubCrossbar::find_max_into(std::span<const std::int64_t> codes,
   res.misses = 0;
   res.merged_matchlines.assign(static_cast<std::size_t>(rows()), false);
   res.input_rows.resize(codes.size());
-  const int max_row = search_all(codes, miss_prob, rng, [&](std::size_t i, int row) {
-    res.input_rows[i] = row;
-    if (row >= 0) {
-      res.merged_matchlines[static_cast<std::size_t>(row)] = true;
-    } else {
+  const std::int64_t max_code =
+      search_all(codes, miss_prob, rng, std::span<int>(res.input_rows));
+  for (int& r : res.input_rows) {
+    if (r < 0) {
       ++res.misses;
+    } else {
+      r = row_of(r);
+      res.merged_matchlines[static_cast<std::size_t>(r)] = true;
     }
-  });
-  res.max_row = max_row;
-  res.max_code = code_at(max_row);
+  }
+  require_a_match(max_code);
+  res.max_code = max_code;
+  res.max_row = row_of(max_code);
 }
 
 void CamSubCrossbar::subtract_into(const MaxFindResult& mf,

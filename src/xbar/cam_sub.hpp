@@ -74,11 +74,11 @@ class CamSubCrossbar {
   /// (underflowed) magnitude. Throws SimulationError if *every* search
   /// misses (no matchline to encode). The result's vectors are
   /// caller-owned and reused across rows (assign/resize keep capacity, so
-  /// a warm row allocates nothing). O(d): each search
-  /// resolves its one matchline through the CAM's code->row index, and the
-  /// priority encoder's answer (the first set merged matchline) is tracked
-  /// as the minimum matched row instead of scanning all 2^bits lines. The
-  /// searches are max_subtract_into()'s, so the two draw identical streams.
+  /// a warm row allocates nothing). O(d): each search raises its own
+  /// code's row (the preload stores every code once), and the priority
+  /// encoder's answer (the first set merged matchline) is the largest
+  /// sensed code instead of a scan of all 2^bits lines. The searches are
+  /// max_subtract_into()'s, so the two draw identical streams.
   void find_max_into(std::span<const std::int64_t> codes, double miss_prob,
                      Rng& rng, MaxFindResult& res) const;
   /// The same, for callers that still pass the per-search matchline
@@ -113,14 +113,15 @@ class CamSubCrossbar {
 
  private:
   /// Phase A's d search cycles, shared by find_max_into and
-  /// max_subtract_into: checks the row once, searches every input in order
-  /// (the one place the CAM/SUB draws fault samples), hands each matched
-  /// row (-1 = miss) to `on_search(i, row)` and returns the priority
-  /// encoder's row (the smallest matched one). Throws SimulationError if
-  /// every search misses.
-  template <typename OnSearch>
-  int search_all(std::span<const std::int64_t> codes, double miss_prob, Rng& rng,
-                 OnSearch&& on_search) const;
+  /// max_subtract_into: checks the row once, draws the searches' fault
+  /// samples (the one place the CAM/SUB draws them), writes each sensed
+  /// code (-1 = miss) into `sensed` and returns the priority encoder's
+  /// code (the largest sensed one; -1 if every search missed).
+  template <typename T>
+  std::int64_t search_all(std::span<const std::int64_t> codes, double miss_prob, Rng& rng,
+                          std::span<T> sensed) const;
+  /// Throws SimulationError for search_all's every-search-missed result.
+  static void require_a_match(std::int64_t max_code);
 
   /// Phase B's SL output for a matched input: x_i - x_max, saturated at
   /// zero (a survivor can sit above an elected max whose true maximum's

@@ -11,6 +11,7 @@
 #include "baseline/softermax.hpp"
 #include "core/softmax_engine.hpp"
 #include "nn/softmax_ref.hpp"
+#include "support/softermax_ref.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -103,7 +104,7 @@ TEST(Softermax, OnlineEqualsOffline) {
   for (int trial = 0; trial < 50; ++trial) {
     const auto row = random_row(rng, 48, -25.0, 10.0);
     const auto online = run(unit, row);
-    const auto offline = unit.offline(row);
+    const auto offline = testing_ref::softermax_offline(unit.config(), row);
     ASSERT_EQ(online.size(), offline.size());
     for (std::size_t i = 0; i < online.size(); ++i) {
       EXPECT_DOUBLE_EQ(online[i], offline[i]) << "trial " << trial << " i " << i;

@@ -1,6 +1,7 @@
 // Unit tests for the CMOS component cost library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "hw/shift_add.hpp"
 #include "hw/sram.hpp"
 #include "hw/tech.hpp"
+#include "util/rng.hpp"
 #include "util/status.hpp"
 
 namespace star::hw {
@@ -224,6 +226,34 @@ TEST(Divider, DivideRowIsDividePerElement) {
   // den == 0 saturates every element, zero numerators included.
   div.divide_row(std::vector<std::int64_t>{0, 1, 7, 255}, 0, 4, out);
   EXPECT_EQ(out, (std::vector<std::int64_t>(4, 255)));
+}
+
+TEST(Divider, DivideRowMatchesIntegerQuotientOnBothOperandRanges) {
+  // divide_row divides in double precision while every shifted operand is
+  // below 2^53 and in integer arithmetic otherwise; both must equal the
+  // per-element integer quotient, including numerators one below a
+  // multiple of den (where a rounded-up double quotient would show).
+  const Divider div(kTech, 31);
+  Rng rng(17);
+  std::vector<std::int64_t> nums(64);
+  std::vector<std::int64_t> out(nums.size());
+  for (int trial = 0; trial < 200; ++trial) {
+    const int frac = static_cast<int>(rng.uniform_int(0, 20));
+    const std::int64_t den = rng.uniform_int(1, std::int64_t{1} << 32);
+    for (std::size_t i = 0; i < nums.size(); ++i) {
+      const std::int64_t k = rng.uniform_int(0, 1 << 10);
+      nums[i] = i % 2 == 0 ? std::max<std::int64_t>(k * den - 1, 0) >> frac
+                           : rng.uniform_int(0, std::int64_t{1} << 16);
+    }
+    if (trial % 4 == 0) {
+      nums[5] = (std::int64_t{1} << 53) >> frac;  // pushes the row to integers
+    }
+    div.divide_row(nums, den, frac, out);
+    for (std::size_t i = 0; i < nums.size(); ++i) {
+      ASSERT_EQ(out[i], div.divide(nums[i], den, frac))
+          << "trial " << trial << " num " << nums[i] << " den " << den;
+    }
+  }
 }
 
 // ---------- SRAM ----------

@@ -191,6 +191,17 @@ TEST(SoftmaxEngine, NanScoreThrowsBeforeAnyFaultDraw) {
     bad[at] = nan;
     EXPECT_THROW(eng.softmax_row_into(bad, run, got), InvalidArgument) << at;
   }
+  // Longer rows too: the conditioning loop runs in vector lanes, and a NaN
+  // of either sign in any lane (or the tail) must still be caught.
+  std::vector<double> long_row(19, 0.25);
+  std::vector<double> long_got(long_row.size());
+  for (const std::size_t at : {std::size_t{1}, std::size_t{8}, std::size_t{18}}) {
+    for (const double bad_value : {nan, -nan}) {
+      std::vector<double> bad = long_row;
+      bad[at] = bad_value;
+      EXPECT_THROW(eng.softmax_row_into(bad, run, long_got), InvalidArgument) << at;
+    }
+  }
   // The rejected rows consumed no fault samples.
   eng.softmax_row_into(row, run, got);
   SoftmaxRunState fresh(7);

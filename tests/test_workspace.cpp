@@ -199,6 +199,104 @@ TEST(WorkspaceKernels, MultiHeadAttentionIntoBitIdentical) {
   EXPECT_EQ(ws.used(), 5u * 8u);
 }
 
+TEST(WorkspaceKernels, MultiHeadAttentionIntoBitIdenticalAcrossShapes) {
+  // The row-streamed attention core against the plain-loop reference:
+  // head widths and sequence lengths on and off the 16/8/4-column register
+  // blocks, on the exact softmax and on a STAR engine drawing faults (whose
+  // RNG state afterwards must match: same draws, same order). Input row 0
+  // is scaled up so its key dominates every score row: the exact softmax
+  // then returns exact-zero probabilities, which the context row skips.
+  core::StarConfig cfg;
+  cfg.cam_miss_prob = 0.05;
+  const core::SoftmaxEngine engine(cfg);
+  constexpr std::size_t kDModel = 6;
+  Rng rng(40);
+  nn::Workspace ws;
+  std::uint64_t seed = 0;
+  for (const std::size_t heads : {1u, 2u, 3u, 12u}) {
+    for (const std::size_t d_k : {1u, 3u, 4u, 5u, 8u, 15u, 16u, 17u, 64u}) {
+      const auto w = nn::MhaWeights::random(heads, kDModel, d_k, rng);
+      for (const std::size_t seq : {1u, 2u, 3u, 15u, 16u, 17u, 33u, 65u, 130u}) {
+        auto x = nn::Tensor::randn(seq, kDModel, rng);
+        for (std::size_t c = 0; c < kDModel; ++c) {
+          x.at(0, c) *= 1000.0;
+        }
+        ws.require_capacity(4 * seq * heads * d_k + d_k * seq + 2 * seq + seq * kDModel);
+        ws.reset();
+        const auto out = ws.alloc_view(seq, kDModel);
+
+        nn::ExactSoftmaxInto exact;
+        nn::multi_head_attention_into(nn::view_of(x), w, exact, ws, out);
+        expect_bits(testing_ref::multi_head_attention(x, w, exact), out);
+        EXPECT_EQ(ws.used(), seq * kDModel);
+
+        ++seed;
+        core::SoftmaxRunState run(seed);
+        core::SoftmaxEngineRowRef star_softmax(engine, run);
+        core::SoftmaxRunState ref_run(seed);
+        core::SoftmaxEngineRowRef ref_softmax(engine, ref_run);
+        // A row whose every CAM/SUB search misses throws (likely for short
+        // rows); both sides must then throw after the same draws.
+        nn::Tensor ref;
+        bool ref_threw = false;
+        try {
+          ref = testing_ref::multi_head_attention(x, w, ref_softmax);
+        } catch (const SimulationError&) {
+          ref_threw = true;
+        }
+        const std::size_t before = ws.used();
+        bool threw = false;
+        try {
+          nn::multi_head_attention_into(nn::view_of(x), w, star_softmax, ws, out);
+        } catch (const SimulationError&) {
+          threw = true;
+        }
+        ASSERT_EQ(threw, ref_threw) << "heads=" << heads << " d_k=" << d_k << " seq=" << seq;
+        if (!threw) {
+          expect_bits(ref, out);
+          EXPECT_EQ(ws.used(), before);
+        }
+        EXPECT_EQ(run.rng(), ref_run.rng())
+            << "heads=" << heads << " d_k=" << d_k << " seq=" << seq;
+      }
+    }
+  }
+}
+
+TEST(WorkspaceKernels, ScaledDotAttentionIntoSkipsSignedZeroOperands) {
+  // A projection never yields -0.0 (its sums start at +0.0), so feed one
+  // head directly: -0.0 and +0.0 in Q are both skipped, the score sums
+  // start at +0.0, and exact-zero probabilities skip their V rows.
+  Rng rng(41);
+  nn::Workspace ws;
+  for (const std::size_t d_k : {1u, 5u, 16u, 17u}) {
+    for (const std::size_t seq : {1u, 4u, 20u, 33u}) {
+      auto q = nn::Tensor::randn(seq, d_k, rng);
+      auto k = nn::Tensor::randn(seq, d_k, rng);
+      const auto v = nn::Tensor::randn(seq, d_k + 3, rng);
+      for (std::size_t r = 0; r < seq; ++r) {
+        q.at(r, r % d_k) = r % 2 == 0 ? -0.0 : 0.0;
+        if (r % 3 == 0) {
+          for (std::size_t c = 0; c < d_k; ++c) {
+            q.at(r, c) = -0.0;  // an all-(-0.0) query row
+          }
+        }
+      }
+      for (std::size_t c = 0; c < d_k; ++c) {
+        k.at(0, c) *= 1e4;  // key 0 dominates: the other probabilities are 0
+      }
+      ws.require_capacity(seq * (d_k + 3) + d_k * seq + 2 * seq);
+      ws.reset();
+      const auto out = ws.alloc_view(seq, d_k + 3);
+      nn::ExactSoftmaxInto exact;
+      nn::scaled_dot_attention_into(nn::view_of(q), nn::view_of(k), nn::view_of(v), exact,
+                                    ws, out);
+      expect_bits(testing_ref::attention_head(q, k, v, exact), out);
+      EXPECT_EQ(ws.used(), seq * (d_k + 3));
+    }
+  }
+}
+
 TEST(WorkspaceKernels, EncoderLayerIntoBitIdentical) {
   Rng rng(26);
   const auto w = nn::EncoderLayerWeights::random(kTiny, rng);
@@ -214,6 +312,44 @@ TEST(WorkspaceKernels, EncoderLayerIntoBitIdentical) {
       ws.alloc_view(6, static_cast<std::size_t>(kTiny.d_model));
   nn::encoder_layer_forward_into(nn::view_of(x), w, exact, ws, out);
   expect_bits(ref, out);
+}
+
+// ---------- arena sizing rule ----------
+
+TEST(EncoderArena, BertBaseLayerRunsInExactlyTheSizingRule) {
+  // The arena schedule depends on shapes only; a zero input (cheap: the
+  // zero-operand skip drops every projection MAC) runs it exactly. The
+  // chain's two ping-pong buffers come first, then one BERT-base layer at
+  // L = 384: it must fit the rule's size, and one double less must abort.
+  const nn::BertConfig base = nn::BertConfig::base();
+  constexpr std::size_t kSeq = 384;
+  const auto d_model = static_cast<std::size_t>(base.d_model);
+  Rng rng(42);
+  const auto w = nn::EncoderLayerWeights::random(base, rng);
+  const std::size_t need = nn::encoder_workspace_doubles(base, kSeq);
+  nn::ExactSoftmaxInto exact;
+  const auto run_layer = [&](std::size_t capacity) {
+    nn::Workspace ws;
+    ws.require_capacity(capacity);
+    const auto x = ws.alloc_view(kSeq, d_model);
+    const auto y = ws.alloc_view(kSeq, d_model);
+    std::fill(x.data, x.data + kSeq * d_model, 0.0);
+    nn::encoder_layer_forward_into(x, w, exact, ws, y);
+    EXPECT_EQ(ws.capacity(), capacity);
+    EXPECT_EQ(ws.used(), 2 * kSeq * d_model);
+  };
+  run_layer(need);
+  EXPECT_DEATH(run_layer(need - 1), "arena undersized");
+}
+
+TEST(EncoderArena, SizingRuleIsLinearInSequenceLength) {
+  for (const nn::BertConfig& cfg : {nn::BertConfig::base(), kTiny}) {
+    for (const std::size_t len : {64u, 384u}) {
+      EXPECT_LE(nn::encoder_workspace_doubles(cfg, 2 * len),
+                2 * nn::encoder_workspace_doubles(cfg, len))
+          << "d_model=" << cfg.d_model << " L=" << len;
+    }
+  }
 }
 
 // ---------- SoA weight flattening ----------
